@@ -18,6 +18,10 @@ let m_syscalls = Metrics.counter "kernel.syscalls"
 let m_syscall_ns = Metrics.histogram "kernel.syscall_ns"
 let m_label_errors = Metrics.counter "kernel.syscall_label_errors"
 
+(* Bytes of object encoding the kernel hands to the store: whole
+   objects, and for a range flush just the segment header and range. *)
+let m_bytes_encoded = Metrics.counter "kernel.bytes_encoded"
+
 let infinite_quota = Int64.max_int
 let base_overhead = 512L
 (* kernel-meta record key in the store; outside the 61-bit oid space *)
@@ -340,8 +344,7 @@ let uncharge d amount = d.usage <- Int64.sub d.usage amount
 let store_delete k oid =
   match k.store with Some s -> Store.delete s ~oid | None -> ()
 
-let encode_obj o =
-  let e = Codec.Enc.create () in
+let encode_fields e o =
   Codec.Enc.u8 e (kind_to_bit o.kind);
   Codec.Enc.i64 e o.id;
   Label.encode e o.label;
@@ -351,9 +354,18 @@ let encode_obj o =
   Codec.Enc.bool e o.fixed_quota;
   Codec.Enc.bool e o.immut;
   Codec.Enc.str e o.metadata;
-  Codec.Enc.u32 e o.refs;
+  Codec.Enc.u32 e o.refs
+
+let encode_obj o =
+  let size =
+    match o.body with
+    | Seg s -> Bytes.length s.data + 256
+    | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> 256
+  in
+  let e = Codec.Enc.create ~size () in
+  encode_fields e o;
   (match o.body with
-  | Seg s -> Codec.Enc.str e (Bytes.to_string s.data)
+  | Seg s -> Codec.Enc.bytes e s.data
   | Con c ->
       Codec.Enc.u32 e c.avoid;
       Codec.Enc.i64 e c.parent;
@@ -382,7 +394,27 @@ let encode_obj o =
           Codec.Enc.bool e m.flags.exec)
         a.mappings
   | Dev d -> Codec.Enc.str e d.mac);
+  Metrics.Counter.add m_bytes_encoded (Codec.Enc.length e);
   Codec.Enc.to_string e
+
+(* A segment's encoding up to and including its data-length prefix:
+   [encode_obj o] is this followed by the data. *)
+let segment_header o data =
+  let e = Codec.Enc.create () in
+  encode_fields e o;
+  Codec.Enc.u32 e (Bytes.length data);
+  Codec.Enc.to_string e
+
+(* Stage an object in the store, telling it where a segment's data
+   starts so a later range flush can patch the data in place. *)
+let store_put st o =
+  let payload = encode_obj o in
+  let header_len =
+    match o.body with
+    | Seg s -> Some (String.length payload - Bytes.length s.data)
+    | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> None
+  in
+  Store.put st ~oid:o.id ?header_len payload
 
 let kind_of_bit = function
   | 0 -> Segment
@@ -623,7 +655,7 @@ let do_checkpoint k =
   match k.store with
   | None -> ()
   | Some s ->
-      Hashtbl.iter (fun oid o -> Store.put s ~oid (encode_obj o)) k.objects;
+      Hashtbl.iter (fun _ o -> store_put s o) k.objects;
       Store.put s ~oid:meta_oid (meta_record k);
       Store.checkpoint s
 
@@ -1384,7 +1416,7 @@ let handle_syscall k kont req : action =
                counters are durable whenever a freshly allocated object
                is: otherwise recovery would restore an older counter and
                re-issue this object's id to something else. *)
-            Store.put s ~oid:o.id (encode_obj o);
+            store_put s o;
             Store.put s ~oid:meta_oid (meta_record k);
             Store.sync_oids s ~oids:[ o.id; meta_oid ];
             ok_resp R_unit)
@@ -1400,25 +1432,33 @@ let handle_syscall k kont req : action =
         (match k.store with
         | None -> ok_resp R_unit
         | Some s ->
-            List.iter (fun o -> Store.put s ~oid:o.id (encode_obj o)) objs;
+            List.iter (store_put s) objs;
             Store.put s ~oid:meta_oid (meta_record k);
             Store.sync_oids s ~oids:(List.map (fun o -> o.id) objs @ [ meta_oid ]);
             ok_resp R_unit)
     | Sync_range (ce, off, len) ->
         let* o, _ = resolve_segment k ~op:"sync_range" ce in
-        (match k.store with
-        | None -> ok_resp R_unit
-        | Some s ->
-            Store.put s ~oid:o.id (encode_obj o);
+        (match (k.store, o.body) with
+        | None, _ -> ok_resp R_unit
+        | Some s, Seg seg ->
+            (* Only the header and the range are encoded: the store
+               patches them into its cached home image. *)
+            let header = segment_header o seg.data in
+            let n = Bytes.length seg.data in
+            let lo = min n (max 0 off) in
+            Metrics.Counter.add m_bytes_encoded
+              (String.length header + min n (lo + max 0 len) - lo);
             (* The in-place fast path implies the object has a
                checkpointed home location, so the counters already cover
                its id; only the log fallback can make a new object
                durable and must carry the metadata record with it. *)
-            if not (Store.sync_range s ~oid:o.id ~off ~len) then begin
+            if not (Store.sync_range s ~oid:o.id ~header ~body:seg.data ~off ~len)
+            then begin
               Store.put s ~oid:meta_oid (meta_record k);
               Store.sync_oid s ~oid:meta_oid
             end;
-            ok_resp R_unit)
+            ok_resp R_unit
+        | Some _, (Con _ | Thr _ | Gat _ | Asp _ | Dev _) -> assert false)
     | Sync_all ->
         do_checkpoint k;
         ok_resp R_unit

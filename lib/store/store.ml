@@ -27,6 +27,12 @@ let m_repaired = Metrics.counter "store.repaired_objects"
 let m_quarantined = Metrics.counter "store.quarantined_sectors"
 let m_lost = Metrics.counter "store.lost_objects"
 
+(* Work counters: every byte the store runs through fnv64 (object
+   images and checkpoint metadata), and the share of it spent by each
+   in-place range flush, which must not grow with the object. *)
+let m_bytes_checksummed = Metrics.counter "store.bytes_checksummed"
+let m_range_flush_checksummed = Metrics.histogram "store.range_flush_checksummed"
+
 let store_magic = 0x48695374L (* "HiSt" *)
 let object_magic = 0x4F424A31 (* "OBJ1" *)
 
@@ -39,6 +45,24 @@ type stats = {
   mutable cache_misses : int;
 }
 
+(* The clean cached copy of a home image: exactly the bytes on the
+   platter, with the chunk and run sums its root checksum is made of
+   (see "object images" below). [header_len] is the length of the
+   payload's fixed prefix that {!sync_range} rewrites whole; [None]
+   when unknown (the image was read back from disk). Images are shared
+   between a store and its forks; [owner] says which store may patch
+   this copy in place. *)
+type image = {
+  owner : unit ref;
+  bytes : Bytes.t;
+  len : int;  (** payload length *)
+  sums : Bytes.t;  (** fnv64 of each payload chunk, 8 bytes LE each *)
+  runs : Bytes.t;  (** payload length u32 LE, then fnv64 of each run of chunk sums *)
+  header_len : int option;
+}
+
+type pending = { payload : string; header_len : int option }
+
 type t = {
   disk : Disk.t;
   wal : Wal.t;
@@ -50,9 +74,16 @@ type t = {
           persistent; this field holds the current root, so {!fork} can
           branch the whole map in O(1). *)
   alloc : Extent_alloc.t;
-  dirty : (int64, string option) Hashtbl.t;
+  dirty : (int64, pending option) Hashtbl.t;
       (** pending updates; [None] means deletion *)
-  cache : (int64, string) Hashtbl.t;  (** clean read cache *)
+  cache : (int64, image) Hashtbl.t;
+      (** home images as they are on the platter; a dirty object's
+          entry is its last durable home, not its pending contents *)
+  logged : (int64, unit) Hashtbl.t;
+      (** oids with a record in the current WAL epoch: recovery replays
+          that record over the home image, so the home image must not
+          be patched in place until the next checkpoint *)
+  mutable owner : unit ref;  (** which cached images this handle owns *)
   stats : stats;
   mutable generation : int64;
   mutable checkpoint_extent : (int * int) option;  (** start, sectors *)
@@ -90,29 +121,91 @@ let fresh_stats () =
 
 let sectors_for t bytes = (bytes + t.sector_bytes - 1) / t.sector_bytes
 
-(* ---------- object images ---------- *)
+(* ---------- object images ----------
 
-(* Image: magic u32, byte length u32, checksum i64, payload, padding. *)
-let object_image t payload =
-  let e = Codec.Enc.create () in
-  Codec.Enc.u32 e object_magic;
-  Codec.Enc.u32 e (String.length payload);
-  Codec.Enc.i64 e (Checksum.fnv64 payload);
-  Codec.Enc.raw e payload;
-  let body = Codec.Enc.to_string e in
-  let padded = sectors_for t (String.length body) * t.sector_bytes in
-  body ^ String.make (padded - String.length body) '\000'
+   Image: magic u32, payload length u32, root checksum i64, payload,
+   zero padding to a whole sector. The payload is cut into
+   [chunk_bytes] chunks, each with its own fnv64; the chunk sums are
+   cut into runs of [run_chunks], each hashed again; the root is the
+   fnv64 of the payload length followed by the run sums. Patching a
+   range re-hashes only the chunks and runs it touched, and the root,
+   so a range flush costs O(range) however large the object is. *)
 
-let parse_object_image image =
-  let d = Codec.Dec.of_string image in
-  let m = Codec.Dec.u32 d in
-  if m <> object_magic then failwith "Store: bad object magic";
-  let len = Codec.Dec.u32 d in
-  let sum = Codec.Dec.i64 d in
-  let payload = Codec.Dec.raw d len in
-  if not (Int64.equal (Checksum.fnv64 payload) sum) then
-    failwith "Store: object checksum mismatch";
-  payload
+let image_header = 16
+let chunk_bytes = 4096
+let run_chunks = 64
+let chunks len = (len + chunk_bytes - 1) / chunk_bytes
+
+(* fnv64 over a byte range, adding the byte count to [work]. *)
+let fnv work b ~pos ~len =
+  work := !work + len;
+  Checksum.fnv64_bytes b ~pos ~len
+
+let hash_chunk work b ~len ~sums c =
+  let pos = c * chunk_bytes in
+  Bytes.set_int64_le sums (8 * c)
+    (fnv work b ~pos:(image_header + pos) ~len:(min chunk_bytes (len - pos)))
+
+let hash_run work ~sums ~runs r =
+  let pos = 8 * r * run_chunks in
+  Bytes.set_int64_le runs (4 + (8 * r))
+    (fnv work sums ~pos ~len:(min (8 * run_chunks) (Bytes.length sums - pos)))
+
+(* Re-hash payload chunks [c0, c1] of the image in [b], then the runs
+   holding them. *)
+let rehash work b ~len ~sums ~runs c0 c1 =
+  for c = c0 to c1 do
+    hash_chunk work b ~len ~sums c
+  done;
+  for r = c0 / run_chunks to c1 / run_chunks do
+    hash_run work ~sums ~runs r
+  done
+
+let root work runs = fnv work runs ~pos:0 ~len:(Bytes.length runs)
+
+(* All sums of the payload in [b] (whose length the caller checked),
+   and its root. *)
+let hash_image work b ~len =
+  let n = chunks len in
+  let sums = Bytes.create (8 * n) in
+  let runs = Bytes.create (4 + (8 * ((n + run_chunks - 1) / run_chunks))) in
+  Bytes.set_int32_le runs 0 (Int32.of_int len);
+  if n > 0 then rehash work b ~len ~sums ~runs 0 (n - 1);
+  (sums, runs, root work runs)
+
+let count_checksummed work = Metrics.Counter.add m_bytes_checksummed !work
+
+(* The image of [payload], built in one buffer. *)
+let build_image t ~header_len payload =
+  let len = String.length payload in
+  let size = sectors_for t (image_header + len) * t.sector_bytes in
+  let b = Bytes.create size in
+  Bytes.set_int32_le b 0 (Int32.of_int object_magic);
+  Bytes.set_int32_le b 4 (Int32.of_int len);
+  Bytes.blit_string payload 0 b image_header len;
+  Bytes.fill b (image_header + len) (size - image_header - len) '\000';
+  let work = ref 0 in
+  let sums, runs, sum = hash_image work b ~len in
+  count_checksummed work;
+  Bytes.set_int64_le b 8 sum;
+  { owner = t.owner; bytes = b; len; sums; runs; header_len }
+
+(* Verify an image read from disk: its magic, and its root against the
+   payload it carries. [b] is only read. *)
+let verify_image b =
+  let u32 pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFF_FFFF in
+  if Bytes.length b < image_header then raise Codec.Truncated;
+  if u32 0 <> object_magic then failwith "Store: bad object magic";
+  let len = u32 4 and stored = Bytes.get_int64_le b 8 in
+  if image_header + len > Bytes.length b then raise Codec.Truncated;
+  let work = ref 0 in
+  let sums, runs, sum = hash_image work b ~len in
+  count_checksummed work;
+  if not (Int64.equal sum stored) then failwith "Store: object checksum mismatch";
+  (len, sums, runs)
+
+let check_object_image image = ignore (verify_image (Bytes.unsafe_of_string image))
+let payload_of img = Bytes.sub_string img.bytes image_header img.len
 
 (* ---------- superblock ---------- *)
 
@@ -184,6 +277,8 @@ let format ~disk ?(wal_sectors = default_wal_sectors) ?(apply_threshold = 1000)
       alloc;
       dirty = Hashtbl.create 256;
       cache = Hashtbl.create 256;
+      logged = Hashtbl.create 64;
+      owner = ref ();
       stats = fresh_stats ();
       generation = 0L;
       checkpoint_extent = None;
@@ -201,34 +296,36 @@ let read_from_home t oid =
   | None -> None
   | Some packed ->
       let start, sectors = unpack packed in
-      let image = Disk.read_retrying t.disk ~sector:start ~count:sectors in
-      Some (parse_object_image image)
+      let b = Bytes.of_string (Disk.read_retrying t.disk ~sector:start ~count:sectors) in
+      let len, sums, runs = verify_image b in
+      Some { owner = t.owner; bytes = b; len; sums; runs; header_len = None }
 
 let get t ~oid =
   match Hashtbl.find_opt t.dirty oid with
-  | Some update -> update
+  | Some update -> Option.map (fun p -> p.payload) update
   | None -> (
       match Hashtbl.find_opt t.cache oid with
-      | Some payload ->
+      | Some img ->
           t.stats.cache_hits <- t.stats.cache_hits + 1;
           Metrics.Counter.incr m_cache_hits;
-          Some payload
+          Some (payload_of img)
       | None -> (
           t.stats.cache_misses <- t.stats.cache_misses + 1;
           Metrics.Counter.incr m_cache_misses;
           match read_from_home t oid with
-          | Some payload ->
-              Hashtbl.replace t.cache oid payload;
-              Some payload
+          | Some img ->
+              Hashtbl.replace t.cache oid img;
+              Some (payload_of img)
           | None -> None))
 
 let mem t ~oid = Option.is_some (get t ~oid)
 
 (* ---------- writes ---------- *)
 
-let put t ~oid payload =
-  Hashtbl.replace t.dirty oid (Some payload);
-  Hashtbl.remove t.cache oid
+(* The cached home image stays: it still describes the platter, and a
+   range flush may patch it before the next checkpoint. *)
+let put t ~oid ?header_len payload =
+  Hashtbl.replace t.dirty oid (Some { payload; header_len })
 
 let delete t ~oid =
   let persistent = Bptree.mem t.object_map oid in
@@ -237,6 +334,63 @@ let delete t ~oid =
   Hashtbl.remove t.cache oid
 
 (* ---------- checkpoint ---------- *)
+
+(* The cached home image of [oid], copied first if a fork shares it,
+   so that [t] may patch it in place. *)
+let own t oid (img : image) =
+  if img.owner == t.owner then img
+  else begin
+    let img =
+      {
+        img with
+        owner = t.owner;
+        bytes = Bytes.copy img.bytes;
+        sums = Bytes.copy img.sums;
+        runs = Bytes.copy img.runs;
+      }
+    in
+    Hashtbl.replace t.cache oid img;
+    img
+  end
+
+(* [n] bytes of [s] at [pos] equal those of [b] at [at]. *)
+let same_bytes s ~pos b ~at n =
+  let rec go i =
+    if i + 8 <= n then
+      (String.get_int64_ne s (pos + i) : int64) = Bytes.get_int64_ne b (at + i) && go (i + 8)
+    else i >= n || (String.get s (pos + i) = Bytes.get b (at + i) && go (i + 1))
+  in
+  go 0
+
+(* A checkpoint writes the whole image to a fresh home, but the bytes
+   mostly equal the cached image's (range flushes patched it already).
+   Bring the cached image of the same payload length up to [payload] in
+   place, copying and re-hashing only the chunks that differ. *)
+let refresh_image t oid img ~header_len payload =
+  let img = { (own t oid img) with header_len } in
+  let b = img.bytes and work = ref 0 in
+  let run_changed = ref false in
+  let n = chunks img.len in
+  for c = 0 to n - 1 do
+    let pos = c * chunk_bytes in
+    let len = min chunk_bytes (img.len - pos) in
+    if not (same_bytes payload ~pos b ~at:(image_header + pos) len) then begin
+      Bytes.blit_string payload pos b (image_header + pos) len;
+      hash_chunk work b ~len:img.len ~sums:img.sums c;
+      run_changed := true
+    end;
+    if !run_changed && (c = n - 1 || (c + 1) mod run_chunks = 0) then begin
+      hash_run work ~sums:img.sums ~runs:img.runs (c / run_chunks);
+      run_changed := false
+    end
+  done;
+  if !work > 0 then Bytes.set_int64_le b 8 (root work img.runs);
+  count_checksummed work;
+  img
+
+let metadata_checksum body =
+  Metrics.Counter.add m_bytes_checksummed (String.length body);
+  Checksum.fnv64 body
 
 let encode_metadata ~object_map ~alloc ~quarantined =
   let e = Codec.Enc.create () in
@@ -249,8 +403,8 @@ let encode_metadata ~object_map ~alloc ~quarantined =
       Codec.Enc.u32 e sectors)
     quarantined;
   let body = Codec.Enc.to_string e in
-  let e2 = Codec.Enc.create () in
-  Codec.Enc.i64 e2 (Checksum.fnv64 body);
+  let e2 = Codec.Enc.create ~size:(String.length body + 12) () in
+  Codec.Enc.i64 e2 (metadata_checksum body);
   Codec.Enc.str e2 body;
   Codec.Enc.to_string e2
 
@@ -282,18 +436,25 @@ let checkpoint t =
           | None -> assert false)
       | None -> ());
       match update with
-      | None -> ()
-      | Some payload -> (
-          let image = object_image t payload in
-          let sectors = String.length image / t.sector_bytes in
+      | None -> Hashtbl.remove t.cache oid
+      | Some { payload; header_len } -> (
+          let sectors = sectors_for t (image_header + String.length payload) in
           match Extent_alloc.alloc t.alloc ~sectors with
           | None -> failwith "Store: disk full"
           | Some start ->
-              Disk.write t.disk ~sector:start image;
+              let img =
+                match Hashtbl.find_opt t.cache oid with
+                | Some img when img.len = String.length payload ->
+                    refresh_image t oid img ~header_len payload
+                | Some _ | None -> build_image t ~header_len payload
+              in
+              (* [Disk.write] copies the sectors it buffers. *)
+              Disk.write t.disk ~sector:start (Bytes.unsafe_to_string img.bytes);
               t.object_map <- Bptree.insert t.object_map oid (pack ~start ~sectors);
-              Hashtbl.replace t.cache oid payload))
+              Hashtbl.replace t.cache oid img))
     dirty;
   Hashtbl.reset t.dirty;
+  Hashtbl.reset t.logged;
   (match t.checkpoint_extent with
   | Some (start, sectors) -> to_free := (start, sectors) :: !to_free
   | None -> ());
@@ -322,8 +483,9 @@ let checkpoint t =
           ~quarantined:t.quarantined
       in
       assert (String.length body <= sectors * t.sector_bytes);
-      let pad = (sectors * t.sector_bytes) - String.length body in
-      Disk.write t.disk ~sector:start (body ^ String.make pad '\000');
+      let image = Bytes.make (sectors * t.sector_bytes) '\000' in
+      Bytes.blit_string body 0 image 0 (String.length body);
+      Disk.write t.disk ~sector:start (Bytes.unsafe_to_string image);
       t.checkpoint_extent <- Some (start, sectors));
   Disk.flush t.disk;
   t.generation <- Int64.add t.generation 1L;
@@ -350,7 +512,7 @@ let sync_oids t ~oids =
   let append oid =
     let update =
       match Hashtbl.find_opt t.dirty oid with
-      | Some u -> u
+      | Some u -> Option.map (fun p -> p.payload) u
       | None -> get t ~oid
     in
     let record = wal_record ~oid update in
@@ -359,6 +521,7 @@ let sync_oids t ~oids =
        t.stats.log_applies <- t.stats.log_applies + 1;
        checkpoint t;
        Wal.append t.wal record);
+    Hashtbl.replace t.logged oid ();
     t.stats.wal_records <- t.stats.wal_records + 1
   in
   List.iter append oids;
@@ -373,44 +536,70 @@ let sync_oids t ~oids =
 
 let sync_oid t ~oid = sync_oids t ~oids:[ oid ]
 
-(* In-place page flush (§7.1): when an object already has a home
-   location of the same size, force just the sectors covering
-   [off, off+len) (plus the header, whose checksum changes) without
-   logging or checkpointing. Falls back to the log when the object has
-   no home or changed size. *)
-let sync_range t ~oid ~off ~len =
-  match (Hashtbl.find_opt t.dirty oid, Bptree.find t.object_map oid) with
-  | Some (Some payload), Some packed ->
-      let image = object_image t payload in
-      let sectors = String.length image / t.sector_bytes in
-      let start, home_sectors = unpack packed in
-      if sectors <> home_sectors then begin
-        sync_oid t ~oid;
-        false
-      end
-      else begin
-        let sb = t.sector_bytes in
-        let header_bytes = 16 in
-        let first = (header_bytes + off) / sb in
-        let last = (header_bytes + off + max 0 (len - 1)) / sb in
-        let last = min last (sectors - 1) in
-        (* header sector (checksum + length) *)
-        Disk.write t.disk ~sector:start (String.sub image 0 sb);
-        Disk.write t.disk ~sector:(start + first)
-          (String.sub image (first * sb) ((last - first + 1) * sb));
-        Disk.flush t.disk;
-        (* the home copy is now current; the object is clean *)
-        Hashtbl.remove t.dirty oid;
-        Hashtbl.replace t.cache oid payload;
-        true
-      end
-  | Some None, _ ->
+(* In-place page flush (§7.1). The object's payload is [header]
+   followed by [body]; only [header] and body bytes [off, off+len) are
+   patched into the cached home image, re-hashed and written, with the
+   sectors around them: that range and its sector slack become durable,
+   nothing else. The cached image keeps describing exactly the platter
+   bytes, so its root always checks. Falls back to the log when there
+   is no cached home image, when the payload or header length changed,
+   or when the WAL holds a record of the object that recovery would
+   replay over the home copy. *)
+let sync_range t ~oid ~header ~body ~off ~len =
+  let header_len = String.length header in
+  let size = header_len + Bytes.length body in
+  let home =
+    match (Hashtbl.find_opt t.dirty oid, Bptree.find t.object_map oid, Hashtbl.find_opt t.cache oid) with
+    | Some None, _, _ | _, None, _ | _, _, None -> None
+    | _, Some packed, Some img ->
+        if Hashtbl.mem t.logged oid || img.len <> size || img.header_len <> Some header_len
+        then None
+        else Some (unpack packed, img)
+  in
+  match home with
+  | None ->
+      let payload = Bytes.create size in
+      Bytes.blit_string header 0 payload 0 header_len;
+      Bytes.blit body 0 payload header_len (Bytes.length body);
+      put t ~oid ~header_len (Bytes.unsafe_to_string payload);
       sync_oid t ~oid;
       false
-  | None, _ -> true (* already clean: the home copy is current *)
-  | Some (Some _), None ->
-      sync_oid t ~oid;
-      false
+  | Some ((start, sectors), img) ->
+      let img = own t oid img in
+      let b = img.bytes and sb = t.sector_bytes in
+      let off = max 0 off and len = max 0 len in
+      (* Chunk spans to re-hash: the header's, if it changed, and the
+         body range's. *)
+      let touched = ref [] in
+      let patch ~pos ~n blit =
+        if n > 0 then begin
+          blit (image_header + pos);
+          touched := (pos / chunk_bytes, (pos + n - 1) / chunk_bytes) :: !touched
+        end
+      in
+      if not (String.equal header (Bytes.sub_string b image_header header_len)) then
+        patch ~pos:0 ~n:header_len (fun dst -> Bytes.blit_string header 0 b dst header_len);
+      let lo = min off (Bytes.length body) in
+      let hi = min (off + len) (Bytes.length body) in
+      patch ~pos:(header_len + lo) ~n:(hi - lo) (fun dst -> Bytes.blit body lo b dst (hi - lo));
+      let work = ref 0 in
+      List.iter
+        (fun (c0, c1) -> rehash work b ~len:img.len ~sums:img.sums ~runs:img.runs c0 c1)
+        !touched;
+      Bytes.set_int64_le b 8 (root work img.runs);
+      count_checksummed work;
+      Metrics.Histogram.observe m_range_flush_checksummed !work;
+      (* The header sectors (length, root, object header), then the
+         sectors covering the range, one barrier. *)
+      let sector_of pos = min (sectors - 1) (pos / sb) in
+      let head_last = sector_of (image_header + header_len - 1) in
+      let first = sector_of (image_header + header_len + off) in
+      let last = sector_of (image_header + header_len + off + max 0 (len - 1)) in
+      Disk.write t.disk ~sector:start (Bytes.sub_string b 0 ((head_last + 1) * sb));
+      Disk.write t.disk ~sector:(start + first)
+        (Bytes.sub_string b (first * sb) ((last - first + 1) * sb));
+      Disk.flush t.disk;
+      true
 
 (* ---------- recovery ---------- *)
 
@@ -435,7 +624,7 @@ let recover ~disk =
       let d = Codec.Dec.of_string image in
       let sum = Codec.Dec.i64 d in
       let body = Codec.Dec.str d in
-      if not (Int64.equal (Checksum.fnv64 body) sum) then
+      if not (Int64.equal (metadata_checksum body) sum) then
         failwith "Store.recover: checkpoint checksum mismatch";
       let d = Codec.Dec.of_string body in
       let object_map = Bptree.decode d in
@@ -482,6 +671,8 @@ let recover ~disk =
       alloc;
       dirty = Hashtbl.create 256;
       cache = Hashtbl.create 256;
+      logged = Hashtbl.create 64;
+      owner = ref ();
       stats = fresh_stats ();
       generation;
       checkpoint_extent;
@@ -492,6 +683,7 @@ let recover ~disk =
   List.iter
     (fun payload ->
       let oid, update = parse_wal_record payload in
+      Hashtbl.replace t.logged oid ();
       match update with
       | Some data -> put t ~oid data
       | None -> delete t ~oid)
@@ -572,7 +764,7 @@ let scrub ?(max_passes = 10) t =
                 let d = Codec.Dec.of_string image in
                 let sum = Codec.Dec.i64 d in
                 let body = Codec.Dec.str d in
-                Int64.equal (Checksum.fnv64 body) sum
+                Int64.equal (metadata_checksum body) sum
               with _ -> false)
         in
         if not ok then incr faults);
@@ -583,29 +775,33 @@ let scrub ?(max_passes = 10) t =
         if not (Hashtbl.mem t.dirty oid) then begin
           incr scanned;
           let start, sectors = unpack packed in
-          let payload =
+          let intact =
             match readable t ~sector:start ~count:sectors with
-            | None -> None
-            | Some image -> ( try Some (parse_object_image image) with _ -> None)
+            | None -> false
+            | Some image -> (
+                try
+                  check_object_image image;
+                  true
+                with _ -> false)
           in
-          match payload with
-          | Some _ -> ()
-          | None -> (
-              incr faults;
-              (match Bptree.remove t.object_map oid with
-              | Some m -> t.object_map <- m
-              | None -> assert false);
-              quarantine t ~start ~sectors;
-              quarantined_n := !quarantined_n + sectors;
-              match Hashtbl.find_opt t.cache oid with
-              | Some data ->
-                  Hashtbl.replace t.dirty oid (Some data);
-                  Hashtbl.remove t.cache oid;
-                  incr repaired;
-                  Metrics.Counter.incr m_repaired
-              | None ->
-                  lost := oid :: !lost;
-                  Metrics.Counter.incr m_lost)
+          if not intact then begin
+            incr faults;
+            (match Bptree.remove t.object_map oid with
+            | Some m -> t.object_map <- m
+            | None -> assert false);
+            quarantine t ~start ~sectors;
+            quarantined_n := !quarantined_n + sectors;
+            match Hashtbl.find_opt t.cache oid with
+            | Some img ->
+                Hashtbl.replace t.dirty oid
+                  (Some { payload = payload_of img; header_len = img.header_len });
+                Hashtbl.remove t.cache oid;
+                incr repaired;
+                Metrics.Counter.incr m_repaired
+            | None ->
+                lost := oid :: !lost;
+                Metrics.Counter.incr m_lost
+          end
         end)
       (List.rev !mapped);
     !faults
@@ -642,6 +838,7 @@ let scrub ?(max_passes = 10) t =
   }
 
 let quarantined_extents t = t.quarantined
+let home_extent t ~oid = Option.map unpack (Bptree.find t.object_map oid)
 
 (* ---------- branching ---------- *)
 
@@ -655,6 +852,9 @@ let quarantined_extents t = t.quarantined
 let fork t =
   let disk = Disk.fork t.disk in
   let wal = Wal.fork t.wal ~disk in
+  (* Both sides now share every cached image: neither owns one until it
+     copies it (see [own]). *)
+  t.owner <- ref ();
   {
     disk;
     wal;
@@ -665,6 +865,8 @@ let fork t =
     alloc = Extent_alloc.copy t.alloc;
     dirty = Hashtbl.copy t.dirty;
     cache = Hashtbl.copy t.cache;
+    logged = Hashtbl.copy t.logged;
+    owner = ref ();
     stats = fresh_stats ();
     generation = t.generation;
     checkpoint_extent = t.checkpoint_extent;
@@ -706,9 +908,7 @@ let check_invariants t =
       let start, sectors = unpack packed in
       if sectors <= 0 then failwith "Store: empty object extent";
       if not (Hashtbl.mem t.dirty oid) then
-        ignore
-          (parse_object_image
-             (Disk.read_retrying t.disk ~sector:start ~count:sectors)))
+        check_object_image (Disk.read_retrying t.disk ~sector:start ~count:sectors))
     t.object_map
 
 (* Whole-disk accounting, for the crash-sweep harness. Beyond
@@ -738,7 +938,7 @@ let fsck t =
       let d = Codec.Dec.of_string image in
       let sum = Codec.Dec.i64 d in
       let body = Codec.Dec.str d in
-      if not (Int64.equal (Checksum.fnv64 body) sum) then
+      if not (Int64.equal (metadata_checksum body) sum) then
         failwith "Store.fsck: checkpoint checksum mismatch"
   | None -> ());
   List.iter

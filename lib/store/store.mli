@@ -16,7 +16,11 @@
 
     Object payloads are opaque byte strings; the kernel serializes its
     objects into them. Home locations come from the two-B+-tree extent
-    allocator; the object map is a third B+-tree, as in §4. *)
+    allocator; the object map is a third B+-tree, as in §4. A home
+    image's checksum is a root over the fnv64 sums of its 4 KB payload
+    chunks, and the store keeps the clean copy of each home image in
+    memory with those sums, so {!sync_range} re-checksums only what it
+    touches. *)
 
 type t
 
@@ -46,7 +50,12 @@ val fork : t -> t
 val disk : t -> Histar_disk.Disk.t
 (** The disk this store handle writes to (a fork's is its own). *)
 
-val put : t -> oid:int64 -> string -> unit
+val put : t -> oid:int64 -> ?header_len:int -> string -> unit
+(** Stage new contents, durable at the next {!checkpoint} or sync.
+    [header_len] is the length of the payload's fixed prefix, the part
+    {!sync_range} rewrites whole; without it, a range flush of this
+    object after the checkpoint falls back to the log. *)
+
 val get : t -> oid:int64 -> string option
 val mem : t -> oid:int64 -> bool
 
@@ -61,13 +70,21 @@ val sync_oids : t -> oids:int64 list -> unit
 (** Like {!sync_oid} for several objects with a single commit (one
     barrier) — the group-commit advantage of the log. *)
 
-val sync_range : t -> oid:int64 -> off:int -> len:int -> bool
-(** In-place page flush (§7.1): force only the sectors covering the
-    byte range to the object's existing home location — no log record,
-    no checkpoint. Falls back to {!sync_oid} when the object has no
-    same-size home copy. Returns [true] when the in-place path was
-    taken (the object already had a checkpointed home), [false] when it
-    fell back to the log. *)
+val sync_range :
+  t -> oid:int64 -> header:string -> body:Bytes.t -> off:int -> len:int -> bool
+(** In-place page flush (§7.1). The object's payload is [header]
+    followed by [body]. Patch [header] and body bytes [off, off+len)
+    into the cached home image, re-checksum only the chunks they touch,
+    and force the header sector(s) and the sectors covering the range to
+    the object's home location with one barrier — no log record, no
+    checkpoint, O(range) work. Exactly that range and its sector slack
+    become durable: other pending changes of the object (a {!put} since
+    the checkpoint) stay pending. Falls back to {!put} of the whole
+    payload plus {!sync_oid} when there is no cached home image (none
+    since the last {!checkpoint}, or after {!drop_clean_cache}), when
+    the payload or header length changed, or when the object has a log
+    record since the last checkpoint. Returns [true] when the in-place
+    path was taken, [false] when it fell back to the log. *)
 
 val checkpoint : t -> unit
 (** Whole-system snapshot: write every dirty object to its home
@@ -128,6 +145,9 @@ val scrub : ?max_passes:int -> t -> scrub_report
 
 val quarantined_extents : t -> (int * int) list
 (** Quarantined [(start, sectors)] extents, in increasing start order. *)
+
+val home_extent : t -> oid:int64 -> (int * int) option
+(** The [(start, sectors)] home extent of a checkpointed object. *)
 
 val check_invariants : t -> unit
 (** Structural checks: allocator and object-map B+-trees are valid and

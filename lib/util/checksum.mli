@@ -3,3 +3,6 @@
 
 val fnv64 : string -> int64
 val fnv64_sub : string -> pos:int -> len:int -> int64
+
+val fnv64_bytes : Bytes.t -> pos:int -> len:int -> int64
+(** Same hash over a byte range of a mutable buffer. *)

@@ -3,7 +3,7 @@ exception Truncated
 module Enc = struct
   type t = Buffer.t
 
-  let create () = Buffer.create 256
+  let create ?(size = 256) () = Buffer.create size
   let u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
 
   let u16 b v =
@@ -23,6 +23,10 @@ module Enc = struct
     Buffer.add_string b s
 
   let raw b s = Buffer.add_string b s
+
+  let bytes b s =
+    u32 b (Bytes.length s);
+    Buffer.add_bytes b s
 
   let list b f l =
     u32 b (List.length l);

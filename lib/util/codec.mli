@@ -11,7 +11,10 @@ exception Truncated
 module Enc : sig
   type t
 
-  val create : unit -> t
+  val create : ?size:int -> unit -> t
+  (** [size] is the initial capacity (default 256); an encoder of a
+      known large output skips the regrowth copies. *)
+
   val u8 : t -> int -> unit
   val u16 : t -> int -> unit
   val u32 : t -> int -> unit
@@ -23,6 +26,10 @@ module Enc : sig
 
   val raw : t -> string -> unit
   (** Appends the bytes with no length prefix. *)
+
+  val bytes : t -> Bytes.t -> unit
+  (** Like {!str}, straight from a mutable buffer: same encoding, no
+      intermediate string. *)
 
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val array : t -> (t -> 'a -> unit) -> 'a array -> unit

@@ -198,14 +198,14 @@ let test_group_sync_faster_than_per_file_sync () =
 let test_sync_range_in_place () =
   let clock, disk, s = mk () in
   let big = Bytes.make 100_000 'a' in
-  Store.put s ~oid:9L (Bytes.to_string big);
+  Store.put s ~oid:9L ~header_len:0 (Bytes.to_string big);
   Store.checkpoint s;
   (* modify a small range and flush it in place *)
   Bytes.fill big 50_000 100 'b';
   Store.put s ~oid:9L (Bytes.to_string big);
   let t0 = Clock.now_ns clock in
   let commits0 = (Store.stats s).Store.wal_commits in
-  let in_place = Store.sync_range s ~oid:9L ~off:50_000 ~len:100 in
+  let in_place = Store.sync_range s ~oid:9L ~header:"" ~body:big ~off:50_000 ~len:100 in
   Alcotest.(check bool) "in-place path taken" true in_place;
   let dt = Int64.sub (Clock.now_ns clock) t0 in
   Alcotest.(check int) "no log commit" commits0 (Store.stats s).Store.wal_commits;
@@ -221,6 +221,166 @@ let test_sync_range_in_place () =
       Alcotest.(check int) "length" 100_000 (String.length v)
   | None -> Alcotest.fail "object lost");
   Store.check_invariants s'
+
+let test_same_length_rewrite () =
+  (* A checkpoint of a same-length payload refreshes the cached image
+     chunk by chunk; a change in any byte — the first, one inside a
+     later chunk, or the last of a ragged tail — must reach the new
+     home. *)
+  let _, disk, s = mk () in
+  let v = Bytes.make 10_003 'p' in
+  Store.put s ~oid:4L (Bytes.to_string v);
+  Store.checkpoint s;
+  List.iter
+    (fun pos ->
+      Bytes.set v pos (Char.chr (Char.code (Bytes.get v pos) + 1));
+      Store.put s ~oid:4L (Bytes.to_string v);
+      Store.checkpoint s;
+      let s' = Store.recover ~disk in
+      Store.fsck s';
+      Alcotest.(check (option string)) (Printf.sprintf "byte %d rewritten" pos)
+        (Some (Bytes.to_string v)) (Store.get s' ~oid:4L))
+    [ 0; 5_000; 10_002 ]
+
+(* A crash-style copy of the platter: what a power cut would leave. *)
+let crash_copy disk = Disk.restore (Disk.snapshot disk) ~clock:(Clock.create ())
+
+let test_sync_range_partial_dirty () =
+  (* A put changes ranges A and B; flushing only A must make exactly A
+     durable. The header root describes the platter, so B — never
+     written — is not claimed by it. *)
+  let _, disk, s = mk () in
+  let old = Bytes.make 20_000 'o' in
+  Store.put s ~oid:5L ~header_len:0 (Bytes.to_string old);
+  Store.checkpoint s;
+  let body = Bytes.copy old in
+  Bytes.fill body 1_000 300 'A';
+  Bytes.fill body 15_000 300 'B';
+  Store.put s ~oid:5L ~header_len:0 (Bytes.to_string body);
+  Alcotest.(check bool) "in-place path taken" true
+    (Store.sync_range s ~oid:5L ~header:"" ~body ~off:1_000 ~len:300);
+  Store.fsck s;
+  Alcotest.(check (option string)) "pending put still visible"
+    (Some (Bytes.to_string body)) (Store.get s ~oid:5L);
+  let s' = Store.recover ~disk:(crash_copy disk) in
+  Store.fsck s';
+  (match Store.get s' ~oid:5L with
+  | Some v ->
+      Alcotest.(check char) "A is new" 'A' v.[1_100];
+      Alcotest.(check char) "B is old" 'o' v.[15_100];
+      Alcotest.(check int) "length" 20_000 (String.length v)
+  | None -> Alcotest.fail "object lost");
+  (* B stays pending and the next checkpoint makes it durable. *)
+  Store.checkpoint s;
+  let s'' = Store.recover ~disk:(crash_copy disk) in
+  Store.fsck s'';
+  Alcotest.(check (option string)) "checkpoint makes B durable"
+    (Some (Bytes.to_string body)) (Store.get s'' ~oid:5L)
+
+let test_sync_range_after_log_falls_back () =
+  (* Recovery replays a logged record over the home image, so once an
+     object is in the log a range flush must go to the log too, or the
+     replay would undo it. *)
+  let _, disk, s = mk () in
+  let body = Bytes.make 10_000 'a' in
+  Store.put s ~oid:6L ~header_len:0 (Bytes.to_string body);
+  Store.checkpoint s;
+  Bytes.fill body 0 10 'L';
+  Store.put s ~oid:6L ~header_len:0 (Bytes.to_string body);
+  Store.sync_oid s ~oid:6L;
+  Bytes.fill body 9_000 10 'R';
+  Alcotest.(check bool) "log path taken" false
+    (Store.sync_range s ~oid:6L ~header:"" ~body ~off:9_000 ~len:10);
+  let s' = Store.recover ~disk:(crash_copy disk) in
+  Store.fsck s';
+  Alcotest.(check (option string)) "both writes durable"
+    (Some (Bytes.to_string body)) (Store.get s' ~oid:6L)
+
+(* The root checksum of a home image, from its definition: the fnv64
+   of the payload length (u32 LE) followed by, for each run of 64 chunk
+   sums, the fnv64 of those sums, each chunk sum the fnv64 of 4 KB of
+   payload. *)
+let reference_root payload =
+  let fnv = Histar_util.Checksum.fnv64 in
+  let len = String.length payload in
+  let sums = Buffer.create 64 and runs = Buffer.create 64 in
+  for c = 0 to ((len + 4095) / 4096) - 1 do
+    Buffer.add_int64_le sums (fnv (String.sub payload (c * 4096) (min 4096 (len - (c * 4096)))))
+  done;
+  let sums = Buffer.contents sums in
+  Buffer.add_int32_le runs (Int32.of_int len);
+  for r = 0 to ((String.length sums + 511) / 512) - 1 do
+    let n = min 512 (String.length sums - (r * 512)) in
+    Buffer.add_int64_le runs (fnv (String.sub sums (r * 512) n))
+  done;
+  fnv (Buffer.contents runs)
+
+(* Random range flushes over a checkpointed object: after each, the
+   root in the home image equals a from-scratch recompute over the
+   payload on the platter, and that payload is the last checkpoint with
+   exactly the flushed header and ranges applied. Then flipping any
+   byte of the image's header or payload is caught by [get] and
+   [fsck]. *)
+let prop_incremental_root =
+  let open QCheck2.Gen in
+  let patch size =
+    (* offsets anywhere, lengths up to two chunks and a bit: unaligned,
+       chunk- and sector-straddling, touching the header sector or
+       running past the end of the body *)
+    map3
+      (fun off len header_change -> (off, len, header_change))
+      (oneof [ int_bound 700; int_bound size ])
+      (int_range 0 9_000) (int_bound 3)
+  in
+  let gen =
+    let* header_len = int_bound 600 in
+    let* size = int_range 1 40_000 in
+    let* patches = list_size (int_range 1 12) (patch size) in
+    let* flip = int in
+    return (header_len, size, patches, flip)
+  in
+  QCheck2.Test.make ~name:"range flush keeps the root a from-scratch recompute"
+    ~count:60 gen (fun (header_len, size, patches, flip) ->
+      let _, disk, s = mk () in
+      let header = Bytes.make header_len 'h' and body = Bytes.make size 'b' in
+      let payload () = Bytes.to_string header ^ Bytes.to_string body in
+      Store.put s ~oid:7L ~header_len (payload ());
+      Store.checkpoint s;
+      let durable = Bytes.of_string (payload ()) in
+      let start, sectors = Option.get (Store.home_extent s ~oid:7L) in
+      let home () = Disk.read disk ~sector:start ~count:sectors in
+      let ok = ref true in
+      List.iteri
+        (fun i (off, len, header_change) ->
+          let c = Char.chr (Char.code 'A' + (i mod 26)) in
+          if header_change = 0 && header_len > 0 then
+            Bytes.set header (i mod header_len) c;
+          Bytes.fill body (min off size) (max 0 (min len (size - off))) c;
+          if not (Store.sync_range s ~oid:7L ~header:(Bytes.to_string header) ~body ~off ~len)
+          then ok := false;
+          Bytes.blit header 0 durable 0 header_len;
+          let lo = min off size and hi = min (off + len) size in
+          Bytes.blit body lo durable (header_len + lo) (hi - lo);
+          let image = home () in
+          let stored = String.get_int64_le image 8 in
+          let on_platter = String.sub image 16 (String.length (payload ())) in
+          if not (Int64.equal stored (reference_root on_platter)) then ok := false;
+          if not (String.equal on_platter (Bytes.to_string durable)) then ok := false)
+        patches;
+      Store.fsck s;
+      (* Flip one byte of the image header or payload on a crash copy. *)
+      let disk' = crash_copy disk in
+      let pos = abs flip mod (16 + size + header_len) in
+      let sector = start + (pos / 512) in
+      let b = Bytes.of_string (Disk.read disk' ~sector ~count:1) in
+      Bytes.set b (pos mod 512) (Char.chr (Char.code (Bytes.get b (pos mod 512)) lxor 0x20));
+      Disk.write disk' ~sector (Bytes.to_string b);
+      Disk.flush disk';
+      let caught f = match f () with _ -> false | exception _ -> true in
+      let s' = Store.recover ~disk:disk' in
+      !ok
+      && caught (fun () -> Store.get s' ~oid:7L)
+      && caught (fun () -> Store.fsck s'))
 
 let prop_store_model =
   (* Random puts/deletes/syncs/checkpoints followed by recovery must
@@ -468,6 +628,31 @@ let test_fork_quarantine_branch_local () =
     (Store.scrub b).Store.clean;
   Store.fsck b
 
+let test_fork_range_flush_branch_local () =
+  (* A fork shares the cached home images; a range flush on one side
+     must copy before patching, so the other side's cache still matches
+     its own platter. *)
+  let _, _, s = mk () in
+  let body = Bytes.make 30_000 't' in
+  Store.put s ~oid:8L ~header_len:0 (Bytes.to_string body);
+  Store.checkpoint s;
+  let b = Store.fork s in
+  let branch = Bytes.copy body in
+  Bytes.fill branch 100 50 'x';
+  Alcotest.(check bool) "branch in place" true
+    (Store.sync_range b ~oid:8L ~header:"" ~body:branch ~off:100 ~len:50);
+  Alcotest.(check (option string)) "trunk cache untouched"
+    (Some (Bytes.to_string body)) (Store.get s ~oid:8L);
+  Store.fsck s;
+  Store.fsck b;
+  Bytes.fill body 20_000 50 'y';
+  Alcotest.(check bool) "trunk in place" true
+    (Store.sync_range s ~oid:8L ~header:"" ~body ~off:20_000 ~len:50);
+  Alcotest.(check (option string)) "branch cache untouched"
+    (Some (Bytes.to_string branch)) (Store.get b ~oid:8L);
+  Store.fsck s;
+  Store.fsck b
+
 let () =
   Alcotest.run "histar_store"
     [
@@ -490,11 +675,17 @@ let () =
           Alcotest.test_case "synced delete" `Quick test_sync_delete_survives;
           Alcotest.test_case "rewrite size change" `Quick
             test_rewrite_changes_size;
+          Alcotest.test_case "same-length rewrite" `Quick test_same_length_rewrite;
           Alcotest.test_case "apply threshold" `Quick
             test_apply_threshold_triggers_checkpoint;
           Alcotest.test_case "drop cache" `Quick test_drop_cache_rereads;
           Alcotest.test_case "sync_range in place" `Quick
             test_sync_range_in_place;
+          Alcotest.test_case "sync_range of a partly synced put" `Quick
+            test_sync_range_partial_dirty;
+          Alcotest.test_case "sync_range after a log sync" `Quick
+            test_sync_range_after_log_falls_back;
+          QCheck_alcotest.to_alcotest prop_incremental_root;
           Alcotest.test_case "group sync wins" `Quick
             test_group_sync_faster_than_per_file_sync;
           Alcotest.test_case "crash during auto-apply" `Quick
@@ -509,5 +700,7 @@ let () =
             test_fork_mutate_drop_fsck;
           Alcotest.test_case "quarantine is branch-local" `Quick
             test_fork_quarantine_branch_local;
+          Alcotest.test_case "range flush is branch-local" `Quick
+            test_fork_range_flush_branch_local;
         ] );
     ]

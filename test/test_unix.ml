@@ -1,5 +1,9 @@
 module Kernel = Histar_core.Kernel
 module Sys = Histar_core.Sys
+module Store = Histar_store.Store
+module Disk = Histar_disk.Disk
+module Clock = Histar_util.Sim_clock
+module Metrics = Histar_metrics.Metrics
 open Histar_core.Types
 open Histar_unix
 open Histar_label
@@ -380,6 +384,114 @@ let test_dirseg_concurrent_creates () =
       Alcotest.(check int) "all 40 files present" 40
         (List.length (Fs.readdir fs "/con")))
 
+(* ---------- in-place range flush (fsync_range) ---------- *)
+
+(* A machine with a store: [f store fs proc] runs as init, then the
+   run's disk and store come back. *)
+let on_disk f =
+  let clock = Clock.create () in
+  let disk = Disk.create ~clock () in
+  let store = Store.format ~disk ~wal_sectors:40_000 () in
+  let k = Kernel.create ~clock ~store () in
+  let failure = ref None in
+  let _tid =
+    Kernel.spawn k ~name:"init" (fun () ->
+        let fs = Fs.format_root ~container:(Kernel.root k) ~label:l1 in
+        let proc = Process.boot ~fs ~container:(Kernel.root k) ~name:"init" () in
+        try f store fs proc with e -> failure := Some (Printexc.to_string e))
+  in
+  Kernel.run k;
+  Option.iter (fun m -> Alcotest.fail ("init crashed: " ^ m)) !failure;
+  (disk, store)
+
+(* A file of [size] bytes, logged and then checkpointed, so its range
+   flushes take the in-place path. *)
+let big_file fs path size =
+  Fs.write_file fs path (String.init size (fun i -> Char.chr (33 + (i mod 90))));
+  Fs.fsync fs path;
+  Sys.sync_all ()
+
+(* Boot the platter a power cut would leave and read [path] back. *)
+let read_after_crash disk path =
+  let store = Store.recover ~disk:(Disk.restore (Disk.snapshot disk) ~clock:(Clock.create ())) in
+  Store.fsck store;
+  let k = Kernel.recover ~store in
+  let got = ref None in
+  let _tid =
+    Kernel.spawn k ~name:"after-boot" (fun () ->
+        let root = Kernel.root k in
+        List.iter
+          (fun (oid, kind) ->
+            if kind = Container && Sys.obj_descrip (self_entry oid) = "/" then
+              got := Some (Fs.read_file (Fs.make ~root:oid) path))
+          (Option.value ~default:[] (Kernel.container_children k root)))
+  in
+  Kernel.run k;
+  !got
+
+let test_fsync_range_unaligned () =
+  (* 8 KB writes at offsets that are not sector-aligned, so each range
+     straddles sector boundaries at both ends; the first shares the
+     image's header sector. The offsets step through every 23rd byte
+     position within a sector, so wherever the encoded object header
+     ends, some range's last sector lies past the request's. *)
+  let size = 256 * 1024 in
+  let shadow = Bytes.create size in
+  let disk, store =
+    on_disk (fun store fs proc ->
+        big_file fs "/f" size;
+        Bytes.blit_string (Fs.read_file fs "/f") 0 shadow 0 size;
+        let fd = Process.open_file proc "/f" in
+        let commits = (Store.stats store).Store.wal_commits in
+        List.iteri
+          (fun i off ->
+            let data = String.make 8192 (Char.chr (Char.code 'a' + (i mod 26))) in
+            Process.seek proc fd off;
+            ignore (Process.write proc fd data);
+            Fs.fsync_range fs "/f" ~off ~len:8192;
+            Bytes.blit_string data 0 shadow off 8192)
+          (List.init 24 (fun i -> (10_240 * i) + 3 + (23 * i)));
+        Alcotest.(check int) "flushed in place, not logged" commits
+          (Store.stats store).Store.wal_commits)
+  in
+  Store.fsck store;
+  Alcotest.(check (option string)) "every fsynced byte reads back"
+    (Some (Bytes.to_string shadow)) (read_after_crash disk "/f")
+
+(* Work of one 8 KB range flush, as counted by the kernel and store. *)
+let range_flush_work size =
+  let work = ref (0, 0) in
+  ignore
+    (on_disk (fun _ fs proc ->
+         big_file fs "/f" size;
+         let fd = Process.open_file proc "/f" in
+         let off = (5 * 8192) + 100 in
+         Process.seek proc fd off;
+         ignore (Process.write proc fd (String.make 8192 'w'));
+         let count () =
+           ( Metrics.counter_value "kernel.bytes_encoded",
+             Metrics.counter_value "store.bytes_checksummed" )
+         in
+         Metrics.with_enabled true (fun () ->
+             let e0, c0 = count () in
+             Fs.fsync_range fs "/f" ~off ~len:8192;
+             let e1, c1 = count () in
+             work := (e1 - e0, c1 - c0))));
+  !work
+
+let test_fsync_range_work_flat () =
+  (* An 8 KB flush encodes the segment header and the range, and
+     checksums the chunks it touched plus the sum tree above them: the
+     same on a 1 MB and an 8 MB file, to within one 4 KB chunk plus a
+     header sector. *)
+  let enc1, sum1 = range_flush_work (1 lsl 20) in
+  let enc8, sum8 = range_flush_work (8 lsl 20) in
+  let slack = 4096 + 512 in
+  Alcotest.(check bool) (Printf.sprintf "encoded %d vs %d bytes" enc1 enc8) true
+    (enc8 >= 8192 && abs (enc1 - enc8) <= slack && enc8 <= 8192 + 512);
+  Alcotest.(check bool) (Printf.sprintf "checksummed %d vs %d bytes" sum1 sum8) true
+    (sum8 >= 8192 && abs (sum1 - sum8) <= slack && sum8 <= 8192 + (2 * 4096) + slack)
+
 let () =
   Alcotest.run "histar_unix"
     [
@@ -398,6 +510,13 @@ let () =
           Alcotest.test_case "mounts" `Quick test_mounts;
           Alcotest.test_case "private files" `Quick
             test_private_files_kernel_enforced;
+        ] );
+      ( "fsync_range",
+        [
+          Alcotest.test_case "unaligned ranges durable" `Quick
+            test_fsync_range_unaligned;
+          Alcotest.test_case "work flat in object size" `Quick
+            test_fsync_range_work_flat;
         ] );
       ( "fds",
         [
