@@ -36,15 +36,17 @@ let content = String.make 1024 'd'
 (* ---------- HiStar ---------- *)
 
 (* One machine per phase-variant so WAL/state does not leak between
-   measurements. *)
-let histar_create ~mode =
-  let m = mk_machine () in
+   measurements. [histar_create] runs on the machine it is given, so a
+   caller can vary the disk or the log under it; it returns the virtual
+   ns of creating [files] 1 KB files named with [digits]-digit numbers
+   (name length shows in the directory's sync cost). *)
+let histar_create ?(digits = 5) ~mode ~files m =
   boot m (fun fs _proc ->
       ignore (Fs.mkdir fs "/lfs");
       let (), ns =
         timed m.clock (fun () ->
-            for i = 0 to !files - 1 do
-              let p = Printf.sprintf "/lfs/f%05d" i in
+            for i = 0 to files - 1 do
+              let p = Printf.sprintf "/lfs/f%0*d" digits i in
               Fs.write_file fs p content;
               match mode with
               | `Async -> ()
@@ -55,14 +57,14 @@ let histar_create ~mode =
             | `Group -> Sys.sync_all ()
             | `Async | `Sync -> ())
       in
-      s_of_ns ns)
+      ns)
 
-let histar_read ~cached =
+let histar_read ~files ~cached =
   let m = mk_machine () in
   boot m (fun fs _proc ->
       ignore (Fs.mkdir fs "/lfs");
       let oids = ref [] in
-      for i = 0 to !files - 1 do
+      for i = 0 to files - 1 do
         let p = Printf.sprintf "/lfs/f%05d" i in
         Fs.write_file fs p content;
         match Fs.lookup fs p with
@@ -72,7 +74,7 @@ let histar_read ~cached =
       if cached then
         let (), ns =
           timed m.clock (fun () ->
-              for i = 0 to !files - 1 do
+              for i = 0 to files - 1 do
                 ignore (Fs.read_file fs (Printf.sprintf "/lfs/f%05d" i))
               done)
         in
@@ -93,17 +95,17 @@ let histar_read ~cached =
         s_of_ns ns
       end)
 
-let histar_unlink ~mode =
+let histar_unlink ~files ~mode =
   let m = mk_machine () in
   boot m (fun fs _proc ->
       ignore (Fs.mkdir fs "/lfs");
-      for i = 0 to !files - 1 do
+      for i = 0 to files - 1 do
         Fs.write_file fs (Printf.sprintf "/lfs/f%05d" i) content
       done;
       Sys.sync_all ();
       let (), ns =
         timed m.clock (fun () ->
-            for i = 0 to !files - 1 do
+            for i = 0 to files - 1 do
               Fs.unlink fs (Printf.sprintf "/lfs/f%05d" i);
               match mode with
               | `Async -> ()
@@ -118,16 +120,17 @@ let histar_unlink ~mode =
       in
       s_of_ns ns)
 
-let histar_small () =
+let histar_small ~files =
+  let create mode = s_of_ns (histar_create ~mode ~files (mk_machine ())) in
   {
-    create_async = histar_create ~mode:`Async;
-    create_sync = histar_create ~mode:`Sync;
-    create_group = histar_create ~mode:`Group;
-    read_cached = histar_read ~cached:true;
-    read_uncached = Some (histar_read ~cached:false);
-    unlink_async = histar_unlink ~mode:`Async;
-    unlink_sync = histar_unlink ~mode:`Sync;
-    unlink_group = Some (histar_unlink ~mode:`Group);
+    create_async = create `Async;
+    create_sync = create `Sync;
+    create_group = create `Group;
+    read_cached = histar_read ~files ~cached:true;
+    read_uncached = Some (histar_read ~files ~cached:false);
+    unlink_async = histar_unlink ~files ~mode:`Async;
+    unlink_sync = histar_unlink ~files ~mode:`Sync;
+    unlink_group = Some (histar_unlink ~files ~mode:`Group);
   }
 
 (* ---------- baselines ---------- *)
@@ -201,38 +204,46 @@ let baseline_small flavor =
 
 let chunk = 8192
 
-let histar_large () =
+(* Phases 1 and 2 of the large-file benchmark, inside a booted machine:
+   an [mb] MB sequential write closed and fsynced, then [writes] random
+   synchronous 8 KB writes flushed in place. Returns the virtual ns of
+   each phase. *)
+let large_writes m fs proc ~mb ~writes =
+  let bytes = mb * 1024 * 1024 in
+  ignore (Fs.mkdir fs "/big");
+  ignore (Fs.create fs "/big/file");
+  Fs.reserve fs "/big/file" (bytes + 65536);
+  let data = String.make chunk 'L' in
+  (* phase 1: sequential write + one fsync *)
+  let fd = Process.open_file proc "/big/file" in
+  let (), seq_ns =
+    timed m.clock (fun () ->
+        for _ = 1 to bytes / chunk do
+          ignore (Process.write proc fd data)
+        done;
+        Process.close proc fd;
+        Fs.fsync fs "/big/file")
+  in
+  Sys.sync_all ();
+  (* phase 2: random synchronous writes, flushed in place *)
+  let rng = Histar_util.Rng.create 7L in
+  let (), rand_ns =
+    timed m.clock (fun () ->
+        for _ = 1 to writes do
+          let off = Histar_util.Rng.int rng (bytes - chunk) in
+          let fd = Process.open_file proc "/big/file" in
+          Process.seek proc fd off;
+          ignore (Process.write proc fd data);
+          Process.close proc fd;
+          Fs.fsync_range fs "/big/file" ~off ~len:chunk
+        done)
+  in
+  (seq_ns, rand_ns)
+
+let histar_large ~mb ~writes =
   let m = mk_machine () in
-  let bytes = !large_mb * 1024 * 1024 in
   boot m (fun fs proc ->
-      ignore (Fs.mkdir fs "/big");
-      ignore (Fs.create fs "/big/file");
-      Fs.reserve fs "/big/file" (bytes + 65536);
-      let data = String.make chunk 'L' in
-      (* phase 1: sequential write + one fsync *)
-      let fd = Process.open_file proc "/big/file" in
-      let (), seq_ns =
-        timed m.clock (fun () ->
-            for _ = 1 to bytes / chunk do
-              ignore (Process.write proc fd data)
-            done;
-            Fs.fsync fs "/big/file")
-      in
-      Process.close proc fd;
-      Sys.sync_all ();
-      (* phase 2: random synchronous writes, flushed in place *)
-      let rng = Histar_util.Rng.create 7L in
-      let (), rand_ns =
-        timed m.clock (fun () ->
-            for _ = 1 to !rand_writes do
-              let off = Histar_util.Rng.int rng (bytes - chunk) in
-              let fd = Process.open_file proc "/big/file" in
-              Process.seek proc fd off;
-              ignore (Process.write proc fd data);
-              Process.close proc fd;
-              Fs.fsync_range fs "/big/file" ~off ~len:chunk
-            done)
-      in
+      let seq_ns, rand_ns = large_writes m fs proc ~mb ~writes in
       (* phase 3: uncached sequential read through the store *)
       Sys.sync_all ();
       Store.drop_clean_cache m.store;
@@ -287,7 +298,7 @@ let run () =
     (Printf.sprintf
        "Figure 12 (lower): LFS small-file benchmark (%d files, scaled to %d)"
        !files paper_files);
-  let hi = histar_small () in
+  let hi = histar_small ~files:!files in
   let li = baseline_small Unixsim.Linux in
   let bi = baseline_small Unixsim.Openbsd in
   row4 "Phase (times scaled to 10k files)" "HiStar" "Linux" "OpenBSD";
@@ -311,7 +322,9 @@ let run () =
     (Printf.sprintf
        "Figure 12 (lower): LFS large-file benchmark (%d MB, scaled to 100 MB)"
        !large_mb);
-  let h_seq, h_rand, h_read = histar_large () in
+  let h_seq, h_rand, h_read =
+    histar_large ~mb:!large_mb ~writes:!rand_writes
+  in
   let l_seq, l_rand, l_read = baseline_large Unixsim.Linux in
   row4 "Phase" "HiStar" "Linux" "OpenBSD";
   row4 "sequential write + fsync"

@@ -8,9 +8,9 @@ module Profile = Histar_core.Profile
 
 let ipc_rtts = 2_000
 
-(* One ping-pong setup: returns virtual ns per round trip and syscalls
-   per round trip. *)
-let histar_ipc () =
+(* One ping-pong setup: after a warmup, [rtts] timed round trips of an
+   8-byte message. Returns their virtual ns and the syscalls they made. *)
+let histar_ipc ~rtts =
   let m = mk_machine () in
   boot m (fun _fs proc ->
       let r1, w1 = Process.pipe proc in
@@ -34,14 +34,13 @@ let histar_ipc () =
       Profile.reset profile;
       let (), ns =
         timed m.clock (fun () ->
-            for _ = 1 to ipc_rtts do
+            for _ = 1 to rtts do
               ignore (Process.write proc w1 "8bytemsg");
               ignore (Process.read proc r2 8)
             done)
       in
       Process.close proc w1;
-      ( Int64.to_float ns /. float_of_int ipc_rtts,
-        float_of_int (Profile.total profile) /. float_of_int ipc_rtts ))
+      (ns, Profile.total profile))
 
 let baseline_ipc flavor =
   let clock = Clock.create () in
@@ -54,11 +53,13 @@ let baseline_ipc flavor =
   in
   Int64.to_float ns /. float_of_int ipc_rtts
 
-(* fork/exec and spawn: virtual time and syscalls per full
-   create-run-exit-wait cycle of a /bin/true equivalent. *)
-let histar_proc ~use_spawn =
+let proc_iters = 30
+
+(* fork/exec and spawn: after a warmup, [iters] timed full
+   create-run-exit-wait cycles of a /bin/true equivalent. Returns their
+   virtual ns and the syscalls they made. *)
+let histar_proc ~use_spawn ~iters =
   let m = mk_machine () in
-  let iters = 30 in
   boot m (fun fs proc ->
       ignore (Fs.mkdir fs "/bin");
       Fs.write_file fs "/bin/true" "#!true";
@@ -88,13 +89,12 @@ let histar_proc ~use_spawn =
               one ()
             done)
       in
-      ( Int64.to_float ns /. float_of_int iters /. 1e6,
-        Profile.total profile / iters ))
+      (ns, Profile.total profile))
 
 let baseline_forkexec flavor =
   let clock = Clock.create () in
   let u = Unixsim.create flavor ~clock () in
-  let iters = 30 in
+  let iters = proc_iters in
   Unixsim.reset_syscall_count u;
   let (), ns =
     timed clock (fun () ->
@@ -106,7 +106,9 @@ let baseline_forkexec flavor =
 
 let run () =
   header "Figure 12 (upper): IPC and process-creation microbenchmarks";
-  let h_ipc_ns, h_ipc_sc = histar_ipc () in
+  let ns, sc = histar_ipc ~rtts:ipc_rtts in
+  let h_ipc_ns = Int64.to_float ns /. float_of_int ipc_rtts in
+  let h_ipc_sc = float_of_int sc /. float_of_int ipc_rtts in
   let l_ipc = baseline_ipc Unixsim.Linux in
   let b_ipc = baseline_ipc Unixsim.Openbsd in
   row4 "Benchmark" "HiStar" "Linux" "OpenBSD";
@@ -117,8 +119,11 @@ let run () =
   paper "3.11 µs / 4.32 µs / 2.13 µs";
   Printf.printf "%-38s %12s\n" "  syscalls per RTT (HiStar)"
     (Printf.sprintf "%.0f" h_ipc_sc);
-  let fe_ms, fe_sc = histar_proc ~use_spawn:false in
-  let sp_ms, sp_sc = histar_proc ~use_spawn:true in
+  let per_iter (ns, sc) =
+    (Int64.to_float ns /. float_of_int proc_iters /. 1e6, sc / proc_iters)
+  in
+  let fe_ms, fe_sc = per_iter (histar_proc ~use_spawn:false ~iters:proc_iters) in
+  let sp_ms, sp_sc = per_iter (histar_proc ~use_spawn:true ~iters:proc_iters) in
   let l_fe_ms, l_fe_sc = baseline_forkexec Unixsim.Linux in
   let b_fe_ms, b_fe_sc = baseline_forkexec Unixsim.Openbsd in
   row4 "Fork/exec, per iteration" (fmt_time_ms fe_ms) (fmt_time_ms l_fe_ms)

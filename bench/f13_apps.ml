@@ -64,14 +64,18 @@ let baseline_build flavor =
 
 (* ---------- wget ---------- *)
 
-let histar_wget () =
+(* A tainted wget fetching [bytes] through netd. Returns the virtual ns
+   of the transfer and the bytes received; fails if the transfer does
+   not complete. *)
+let histar_wget ~bytes =
   let m = mk_machine () in
-  let bytes = !wget_mb * 1024 * 1024 in
   let hub = Hub.create ~clock:m.clock () in
-  let server = Sim_host.create ~hub ~clock:m.clock ~ip:"10.0.0.2" ~mac:"www" () in
+  let server =
+    Sim_host.create ~hub ~clock:m.clock ~ip:"10.0.0.2" ~mac:"www" ()
+  in
   Sim_host.serve_file server ~port:80 ~content:(String.make bytes 'w');
   let got = ref 0 in
-  let elapsed = ref 0L in
+  let elapsed = ref (-1L) in
   let _tid =
     Kernel.spawn m.kernel ~name:"init" (fun () ->
         let fs = Fs.format_root ~container:(Kernel.root m.kernel) ~label:l1 in
@@ -89,13 +93,11 @@ let histar_wget () =
             ~label:(Label.of_list [ (i, Level.L2) ] Level.L1)
             ~quota:2_097_152L "wget scratch"
         in
-        let done_flag = ref false in
         let _wget =
           Process.spawn proc ~name:"wget"
             ~extra_label:[ (i, Level.L2) ]
             ~extra_clearance:[ (i, Level.L2) ]
             (fun _w ->
-              try
               let t0 = Clock.now_ns m.clock in
               let sock =
                 Netd.Client.connect netd ~return_container:scratch
@@ -110,18 +112,15 @@ let histar_wget () =
                 | None -> ()
               in
               loop ();
-              elapsed := Int64.sub (Clock.now_ns m.clock) t0;
-              done_flag := true
-              with
-              | Histar_core.Types.Kernel_error e ->
-                  Printf.eprintf "wget kernel error: %s\n"
-                    (Histar_core.Types.error_to_string e)
-              | e -> Printf.eprintf "wget: %s\n" (Printexc.to_string e))
+              elapsed := Int64.sub (Clock.now_ns m.clock) t0)
         in
-        ignore done_flag)
+        ())
   in
   Kernel.run m.kernel;
-  (s_of_ns !elapsed, !got)
+  if !elapsed < 0L then failwith "wget: transfer did not complete";
+  if !got < bytes then
+    failwith (Printf.sprintf "wget: got %d of %d bytes" !got bytes);
+  (!elapsed, !got)
 
 let baseline_wget () =
   (* the comparison systems drive the same simulated link directly *)
@@ -215,7 +214,8 @@ let run () =
     (Printf.sprintf "building the kernel (%d modules)" !build_files)
     (fmt_time_s hb) (fmt_time_s lb) (fmt_time_s bb);
   paper paper_build_note;
-  let hw, got = histar_wget () in
+  let ns, got = histar_wget ~bytes:(!wget_mb * 1024 * 1024) in
+  let hw = s_of_ns ns in
   let bw = baseline_wget () in
   row4
     (Printf.sprintf "wget %d MB (scaled to 100 MB)" !wget_mb)

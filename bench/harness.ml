@@ -22,11 +22,13 @@ type machine = {
 (* A full HiStar machine with disk-backed store. The syscall cost is
    calibrated so the paper's IPC numbers land in the right range.
    [faults] optionally wires a disk-fault decision plan (from
-   [Histar_faults.Faults.Disk_faults.create]) under the media. *)
-let mk_machine ?(syscall_cost_ns = 120) ?faults () =
+   [Histar_faults.Faults.Disk_faults.create]) under the media; [params]
+   and [apply_threshold] override the disk model and the log's batch
+   size. *)
+let mk_machine ?(syscall_cost_ns = 120) ?faults ?params ?apply_threshold () =
   let clock = Clock.create () in
-  let disk = Disk.create ?faults ~clock () in
-  let store = Store.format ~disk ~wal_sectors:262_144 () in
+  let disk = Disk.create ?faults ?params ~clock () in
+  let store = Store.format ~disk ~wal_sectors:262_144 ?apply_threshold () in
   let kernel = Kernel.create ~clock ~store ~syscall_cost_ns () in
   { kernel; clock; disk; store }
 

@@ -12,7 +12,6 @@ open Harness
 module Par = Histar_par.Par
 module Metrics = Histar_metrics.Metrics
 module Json = Histar_metrics.Json
-module Profile = Histar_core.Profile
 module Hub = Histar_net.Hub
 module Addr = Histar_net.Addr
 module Sim_host = Histar_net.Sim_host
@@ -44,66 +43,15 @@ let pick size ~smoke ~full = match size with Smoke -> smoke | Full -> full
 
    Each returns the virtual nanoseconds its measured phase took. Every
    workload builds a fresh machine from the fixed default seed so state
-   never leaks between entries. *)
+   never leaks between entries. The HiStar-side §7 workloads are the
+   table modules' own definitions, run at the trajectory's sizes. *)
 
 let ipc_pingpong size =
-  let rtts = pick size ~smoke:50 ~full:2_000 in
-  let m = mk_machine () in
-  boot m (fun _fs proc ->
-      let r1, w1 = Process.pipe proc in
-      let r2, w2 = Process.pipe proc in
-      let _echo =
-        Process.spawn proc ~name:"echo" ~fds:[ r1; w2 ] (fun child ->
-            let rec loop () =
-              let msg = Process.read child r1 8 in
-              if String.length msg > 0 then begin
-                ignore (Process.write child w2 msg);
-                loop ()
-              end
-            in
-            loop ();
-            Process.close child w2)
-      in
-      ignore (Process.write proc w1 "warmup!!");
-      ignore (Process.read proc r2 8);
-      let (), ns =
-        timed m.clock (fun () ->
-            for _ = 1 to rtts do
-              ignore (Process.write proc w1 "8bytemsg");
-              ignore (Process.read proc r2 8)
-            done)
-      in
-      Process.close proc w1;
-      ns)
+  fst (F12_micro.histar_ipc ~rtts:(pick size ~smoke:50 ~full:2_000))
 
 let proc_cycle ~use_spawn size =
-  let iters = pick size ~smoke:3 ~full:30 in
-  let m = mk_machine () in
-  boot m (fun fs proc ->
-      ignore (Fs.mkdir fs "/bin");
-      Fs.write_file fs "/bin/true" "#!true";
-      Fs.write_file fs "/dev-console" "";
-      let fds = List.init 3 (fun _ -> Process.open_file proc "/dev-console") in
-      let one () =
-        let h =
-          if use_spawn then
-            Process.spawn proc ~name:"true" ~fds (fun c -> Process.exit c 0)
-          else
-            Process.fork_exec proc ~name:"true" ~text:"/bin/true" ~fds (fun c ->
-                Process.exit c 0)
-        in
-        ignore (Process.wait proc h)
-      in
-      one () (* warmup *);
-      let (), ns =
-        timed m.clock (fun () ->
-            for _ = 1 to iters do
-              one ()
-            done)
-      in
-      ns)
-
-let lfs_content = String.make 1024 'd'
+  fst
+    (F12_micro.histar_proc ~use_spawn ~iters:(pick size ~smoke:3 ~full:30))
 
 let lfs_create ~mode size =
   let files =
@@ -111,107 +59,21 @@ let lfs_create ~mode size =
     | `Sync -> pick size ~smoke:5 ~full:100
     | `Group -> pick size ~smoke:20 ~full:800
   in
-  let m = mk_machine () in
-  boot m (fun fs _proc ->
-      ignore (Fs.mkdir fs "/lfs");
-      let (), ns =
-        timed m.clock (fun () ->
-            for i = 0 to files - 1 do
-              let p = Printf.sprintf "/lfs/f%05d" i in
-              Fs.write_file fs p lfs_content;
-              match mode with `Sync -> Fs.fsync fs p | `Group -> ()
-            done;
-            match mode with `Group -> Sys.sync_all () | `Sync -> ())
-      in
-      ns)
+  F12_lfs.histar_create ~mode ~files (mk_machine ())
 
+(* Only the first two phases: the entry's metric window covers the
+   whole call, and the uncached read-back is not part of it. *)
 let large_file_rand size =
-  let mb = pick size ~smoke:1 ~full:8 in
-  let writes = pick size ~smoke:10 ~full:400 in
-  let chunk = 8192 in
-  let bytes = mb * 1024 * 1024 in
   let m = mk_machine () in
   boot m (fun fs proc ->
-      ignore (Fs.mkdir fs "/big");
-      ignore (Fs.create fs "/big/file");
-      Fs.reserve fs "/big/file" (bytes + 65536);
-      let data = String.make chunk 'L' in
-      let fd = Process.open_file proc "/big/file" in
-      for _ = 1 to bytes / chunk do
-        ignore (Process.write proc fd data)
-      done;
-      Process.close proc fd;
-      Fs.fsync fs "/big/file";
-      Sys.sync_all ();
-      let rng = Histar_util.Rng.create 7L in
-      let (), ns =
-        timed m.clock (fun () ->
-            for _ = 1 to writes do
-              let off = Histar_util.Rng.int rng (bytes - chunk) in
-              let fd = Process.open_file proc "/big/file" in
-              Process.seek proc fd off;
-              ignore (Process.write proc fd data);
-              Process.close proc fd;
-              Fs.fsync_range fs "/big/file" ~off ~len:chunk
-            done)
-      in
-      ns)
+      snd
+        (F12_lfs.large_writes m fs proc ~mb:(pick size ~smoke:1 ~full:8)
+           ~writes:(pick size ~smoke:10 ~full:400)))
 
 let wget size =
-  let bytes = pick size ~smoke:(64 * 1024) ~full:(4 * 1024 * 1024) in
-  let m = mk_machine () in
-  let hub = Hub.create ~clock:m.clock () in
-  let server =
-    Sim_host.create ~hub ~clock:m.clock ~ip:"10.0.0.2" ~mac:"www" ()
-  in
-  Sim_host.serve_file server ~port:80 ~content:(String.make bytes 'w');
-  let got = ref 0 in
-  let elapsed = ref (-1L) in
-  let _tid =
-    Kernel.spawn m.kernel ~name:"init" (fun () ->
-        let fs = Fs.format_root ~container:(Kernel.root m.kernel) ~label:l1 in
-        let proc =
-          Process.boot ~fs ~container:(Kernel.root m.kernel) ~name:"init" ()
-        in
-        let i = Sys.cat_create () in
-        let netd =
-          Netd.start m.kernel ~hub ~container:(Kernel.root m.kernel)
-            ~ip:(Addr.ip_of_string "10.0.0.1") ~mac:"km" ~taint:i ()
-        in
-        let scratch =
-          Sys.container_create
-            ~container:(Process.container proc)
-            ~label:(Label.of_list [ (i, Level.L2) ] Level.L1)
-            ~quota:2_097_152L "wget scratch"
-        in
-        let _wget =
-          Process.spawn proc ~name:"wget"
-            ~extra_label:[ (i, Level.L2) ]
-            ~extra_clearance:[ (i, Level.L2) ]
-            (fun _w ->
-              let t0 = Clock.now_ns m.clock in
-              let sock =
-                Netd.Client.connect netd ~return_container:scratch
-                  (Addr.v "10.0.0.2" 80)
-              in
-              Netd.Client.send netd ~return_container:scratch sock "GET /big";
-              let rec loop () =
-                match Netd.Client.recv netd ~return_container:scratch sock with
-                | Some d ->
-                    got := !got + String.length d;
-                    if !got < bytes then loop ()
-                | None -> ()
-              in
-              loop ();
-              elapsed := Int64.sub (Clock.now_ns m.clock) t0)
-        in
-        ())
-  in
-  Kernel.run m.kernel;
-  if !elapsed < 0L then failwith "wget: transfer did not complete";
-  if !got < bytes then
-    failwith (Printf.sprintf "wget: got %d of %d bytes" !got bytes);
-  !elapsed
+  fst
+    (F13_apps.histar_wget
+       ~bytes:(pick size ~smoke:(64 * 1024) ~full:(4 * 1024 * 1024)))
 
 (* The same transfer under a fixed fault schedule: 5% frame loss on
    the wire plus 1% latent sector errors under the store. The client
@@ -407,9 +269,9 @@ let dist_cluster ?(user_count = 2) ?(concurrency = 8) ?(zipf = false) ~nodes
 (* The versioned-state API itself: off a populated, checkpointed
    trunk, fork a chain of copy-on-write store branches at each depth,
    mutating every link, then checkpoint + fsck the leaf and drop the
-   chain. Each depth is bracketed by a named kernel handle so the
-   branch registry is exercised too. Deep chains stay cheap because a
-   fork copies only the B+-tree path to each mutated object. *)
+   chain. Each depth also forks a kernel handle, so whole-kernel
+   capture is priced too. Deep chains stay cheap because a fork copies
+   only the B+-tree path to each mutated object. *)
 let snapshot_fork size =
   let objects = pick size ~smoke:192 ~full:2048 in
   let rounds = pick size ~smoke:1 ~full:4 in
@@ -426,10 +288,7 @@ let snapshot_fork size =
         for round = 1 to rounds do
           List.iter
             (fun depth ->
-              let h =
-                Kernel.fork ~name:(Printf.sprintf "bench-depth-%d" depth)
-                  m.kernel
-              in
+              ignore (Kernel.fork m.kernel : Kernel.handle);
               let leaf = ref m.store in
               for d = 0 to depth - 1 do
                 let b = Store.fork !leaf in
@@ -439,8 +298,7 @@ let snapshot_fork size =
                 leaf := b
               done;
               Store.checkpoint !leaf;
-              Store.fsck !leaf;
-              Kernel.drop h)
+              Store.fsck !leaf)
             [ 1; 8; 64 ]
         done)
   in

@@ -86,8 +86,6 @@ let tenant t name =
   | Some tn -> tn
   | None -> invalid_arg ("lio_eval: unknown tenant " ^ name)
 
-let tenant_label t name = (tenant t name).t_label
-
 let set_var t ~tenant:name var n =
   let tn = tenant t name in
   match Hashtbl.find_opt tn.t_vars var with

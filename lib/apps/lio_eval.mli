@@ -29,7 +29,6 @@ val create : container:Histar_core.Types.oid -> string list -> t
     tenant name, build the LIO context with one scratch level per
     tenant, and create empty outboxes. *)
 
-val tenant_label : t -> string -> Histar_label.Label.t
 val set_var : t -> tenant:string -> string -> int -> unit
 
 val eval : t -> tenant:string -> expr -> (unit, string) result

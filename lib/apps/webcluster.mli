@@ -16,13 +16,13 @@
 
     Robustness story (this is the fault-tolerance drill rig):
 
-    - {!kill_shard} powers a db node off — MAC detached, kernel
+    - Killing a shard powers a db node off — MAC detached, kernel
       dropped from the schedule, volatile state gone. Unaffected
       users keep being served; affected users are *refused* (never
       mis-admitted) while the balancer's capped-exponential-backoff
       health table ({!Histar_dist.Distd.Peer_health}) routes around
       the corpse, probing it ever more rarely.
-    - {!recover_shard} brings it back from its own single-level
+    - Recovering it brings it back from its own single-level
       store: [Store.recover] + [fsck], [Kernel.recover], then the
       persisted keeper thread — whose checkpointed label still owns
       every category the shard minted — is re-armed to re-bind the
@@ -76,16 +76,11 @@ val cluster : t -> Histar_dist.Cluster.t
 val front_hub : t -> Histar_net.Hub.t
 val back_hub : t -> Histar_net.Hub.t
 val balancer : t -> Histar_core.Kernel.t
-val app_kernel : t -> int -> Histar_core.Kernel.t
-
-val db_kernel : t -> Histar_core.Kernel.t
-(** Shard 0's kernel (compatibility accessor). *)
 
 val app_mac : t -> int -> string
 (** Backbone MAC of app node [i] — the handle for
     [Hub.set_link_faults] when flapping a node mid-run. *)
 
-val app_clock : t -> int -> Histar_util.Sim_clock.t
 val balancer_clock : t -> Histar_util.Sim_clock.t
 
 val users : t -> (string * string) array
@@ -107,7 +102,6 @@ val handoff_refusals : t -> int
 (** {1 Shards} *)
 
 val ring : t -> Histar_dist.Ring.t
-val shard_count : t -> int
 
 val shard_of_user : t -> string -> int option
 (** Index (0-based) of the shard whose arc currently owns the user. *)
@@ -115,24 +109,11 @@ val shard_of_user : t -> string -> int option
 val shard_node_id : t -> int -> int
 (** Cluster node id of shard [k] (for crash-plan [node=] fields). *)
 
-val shard_kernel : t -> int -> Histar_core.Kernel.t
-(** Shard [k]'s *current* kernel — a new object after recovery. *)
-
 val shard_store : t -> int -> Histar_store.Store.t
 (** Shard [k]'s current store handle (fsck it after recovery). *)
 
 val shard_alive : t -> int -> bool
 val shard_users : t -> int -> string list
-
-val kill_shard : t -> int -> unit
-(** Power shard [k] off: detach its backbone MAC, drop its kernel
-    from the schedule. Volatile state is lost; the disk survives.
-    Idempotent while dead. *)
-
-val recover_shard : t -> int -> unit
-(** Store-based recovery of a dead shard [k]; see the module
-    preamble. Raises if the recovered store fails [fsck] or the
-    persisted index is missing. No-op while alive. *)
 
 val rebalance_user :
   t -> user:string -> to_shard:int -> (unit, string) result

@@ -3,8 +3,6 @@ module Clock = Histar_util.Sim_clock
 
 type flavor = Linux | Openbsd
 
-let flavor_name = function Linux -> "linux" | Openbsd -> "openbsd"
-
 type params = {
   syscall_ns : float;
   ctx_switch_ns : float;

@@ -823,14 +823,6 @@ let run_real ?weaken ?elide ops =
     rr_cov = cov_of ~k ~mdiff ~outs ~term;
   }
 
-let exec_model ops =
-  let m = run_model ops in
-  (m.mr_outs, m.mr_term)
-
-let exec_real ?weaken ?elide ops =
-  let r = run_real ?weaken ?elide ops in
-  (r.rr_outs, r.rr_term)
-
 (* ---------- final-state comparison ---------- *)
 
 let model_view_str st slot_of oid =
@@ -1567,19 +1559,8 @@ let common_prefix a b =
 (* The fuzz loop is a strict sequence of (decide, execute, commit)
    iterations: decide consumes the RNG against the current corpus,
    execute is a pure differential check of the decided trace, commit
-   folds the verdict back into the loop state (result / seen / corpus).
-   Only execute is expensive, and only commit mutates state — so the
-   parallel driver speculates: it decides a batch ahead (recording the
-   RNG state before each decision), executes the batch on the pool, and
-   commits in order. A commit that admits a corpus entry invalidates
-   every later decision in the batch (they were decided against the
-   stale corpus — decide's draw COUNT depends on corpus contents, not
-   just its draws), so the driver rewinds the RNG to the state saved
-   before the first invalid decision and re-decides. The committed
-   (decide, execute, commit) sequence is therefore bit-identical to the
-   sequential loop at every domain count: same RNG stream, same corpus
-   evolution, same verdicts, same pinned catch indices. *)
-let run_fuzz ?domains ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
+   folds the verdict back into the loop state (result / seen / corpus). *)
+let run_fuzz ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
     ?(mode = `Fork) ?(seed_corpus = []) () =
   let runs =
     match runs with
@@ -1620,9 +1601,7 @@ let run_fuzz ?domains ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
     | Some base ->
         (* Resume from the deepest parent branch that is still a
            prefix of the mutant; fresh traces start from the shared
-           initial branch. Concurrent cells may resume the same
-           anchor: [Kernel.resume] only reads the handle's persistent
-           state. *)
+           initial branch. *)
         let anchor, i0 =
           match parent with
           | Some p when Array.length p.ce_branches > 0 ->
@@ -1647,69 +1626,23 @@ let run_fuzz ?domains ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
         in
         (compare_runs m r, r.rr_cov, remember)
   in
-  (* Commit runs on the main domain; [remember]'s capture re-execution
-     is deterministic, so deferring it from the pool cell to the commit
-     point changes nothing. *)
   let commit (_, trace) (detail, cov, remember) =
     match detail with
     | Some d ->
         let t' = shrink ?weaken ?elide trace in
         let d' = Option.value (compare_traces ?weaken ?elide t') ~default:d in
-        result := Some (t', d');
-        `Stop
+        result := Some (t', d')
     | None ->
         if not (Hashtbl.mem seen cov) then begin
           Hashtbl.add seen cov ();
-          corpus := remember () :: !corpus;
-          `Admitted
+          corpus := remember () :: !corpus
         end
-        else `Clean
   in
-  let d =
-    if Par.in_task () then 1
-    else match domains with Some d -> max 1 d | None -> Par.domains ()
-  in
-  if d <= 1 then
-    (* Sequential loop, the reference semantics. *)
-    while !result = None && !i < runs do
-      let dec = decide !i in
-      ignore (commit dec (execute dec) : [ `Stop | `Admitted | `Clean ]);
-      incr i
-    done
-  else begin
-    (* Speculative batches. The batch width adapts: corpus admissions
-       are frequent early (every batch rewinds — speculative work is
-       wasted) and rare once coverage saturates (batches commit whole),
-       so width halves on a rewind and doubles on a full commit. *)
-    let width = ref 1 in
-    while !result = None && !i < runs do
-      let b = min !width (runs - !i) in
-      let states = Array.make b (Rng.state rng) in
-      let decs = Array.make b (None, []) in
-      for j = 0 to b - 1 do
-        states.(j) <- Rng.state rng;
-        decs.(j) <- decide (!i + j)
-      done;
-      let outs = Par.run ~domains:d b (fun j -> execute decs.(j)) in
-      let invalid = ref false in
-      let j = ref 0 in
-      while (not !invalid) && !result = None && !j < b do
-        (match commit decs.(!j) outs.(!j) with
-        | `Stop | `Clean -> ()
-        | `Admitted -> invalid := true);
-        incr i;
-        incr j
-      done;
-      if !result <> None then ()
-      else if !invalid && !j < b then begin
-        (* Decisions [!j..] were made against the stale corpus: rewind
-           the RNG to just before the first of them and re-decide. *)
-        Rng.set_state rng states.(!j);
-        width := max 1 (!width / 2)
-      end
-      else width := min (4 * d) (!width * 2)
-    done
-  end;
+  while !result = None && !i < runs do
+    let dec = decide !i in
+    commit dec (execute dec);
+    incr i
+  done;
   {
     fs_runs = !i;
     fs_corpus = Hashtbl.length seen;

@@ -109,15 +109,6 @@ type term =
 
 val pp_op : op -> string
 val pp_trace : op list -> string
-val pp_outcome : outcome -> string
-
-val exec_model : op list -> outcome list * term
-
-val exec_real :
-  ?weaken:Kernel.weaken -> ?elide:bool -> op list -> outcome list * term
-(** [elide] is passed through to {!Histar_core.Kernel.create}; it
-    defaults to the process-wide default (elision on unless
-    [HISTAR_NO_ELIDE=1]). *)
 
 type exec_mode = [ `Fork | `Replay ]
 (** How a trace pair is executed. [`Replay] (the historical path)
@@ -173,7 +164,6 @@ type fuzz_stats = {
 }
 
 val run_fuzz :
-  ?domains:int ->
   ?weaken:Kernel.weaken ->
   ?elide:bool ->
   ?runs:int ->
@@ -198,15 +188,8 @@ val run_fuzz :
     replaying it; verdicts, corpus evolution and reports are
     bit-identical to [`Replay] at the same seed. Shrinking is always
     replay-based (the reported repro line needs no branch state).
-    Stops at the first divergence (after shrinking it).
-
-    [?domains] (default {!Par.domains}[()]) sets the pool width for
-    speculative execution: trace decisions are made ahead against the
-    current RNG/corpus, executed in parallel, and committed in
-    submission order, with an RNG rewind whenever a corpus admission
-    invalidates the batch's later decisions. The committed sequence —
-    stats, corpus, divergence, pinned catch indices — is bit-identical
-    to the sequential loop at every domain count. *)
+    Stops at the first divergence (after shrinking it). Runs on the
+    calling domain; {!run_fuzz_many} is the parallel entry point. *)
 
 val run_fuzz_many :
   ?domains:int ->

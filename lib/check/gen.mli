@@ -35,7 +35,6 @@ val sized : (int -> 'a t) -> 'a t
 (** Build a generator from the current size bound. *)
 
 val resize : int -> 'a t -> 'a t
-val no_shrink : 'a t -> 'a t
 
 (** {1 Base generators} *)
 

@@ -1650,11 +1650,6 @@ let blocked_count k =
     (fun acc th -> match th.tstate with `Blocked _ -> acc + 1 | _ -> acc)
     0
 
-let live_thread_count k =
-  fold_threads k
-    (fun acc th -> match th.tstate with `Halted -> acc | _ -> acc + 1)
-    0
-
 let object_count k = Hashtbl.length k.objects
 
 let label_cache_stats k =
@@ -1968,7 +1963,6 @@ type handle = {
   h_gate_summaries : (oid, gate_summary) Hashtbl.t;
   h_label_cache : Label_cache.t;
   h_profile : Profile.t;
-  h_name : string option;
 }
 
 (* Deep copy: summary records are mutable, so branch and trunk must not
@@ -1988,16 +1982,7 @@ let copy_gate_summaries tbl =
     tbl;
   t
 
-(* HERMIT-style named branch points: fork ~name publishes the handle in
-   a registry so later phases can resume or discard it by name. *)
-let handle_registry : (string, handle) Hashtbl.t = Hashtbl.create 16
-
-(* Named forks can happen from any domain (check cells capture corpus
-   branches on the lib/par pool); the registry is the only cross-kernel
-   shared table here, so it gets its own mutex. *)
-let handle_registry_mu = Mutex.create ()
-
-let fork ?name k =
+let fork k =
   (* Drop tree entries for objects destroyed since the last fork. *)
   let stale =
     Hashtbl.fold
@@ -2021,32 +2006,22 @@ let fork ?name k =
           Hashtbl.replace k.snap_enc oid enc;
           k.snap <- Bptree.insert k.snap oid enc)
     k.objects;
-  let h =
-    {
-      h_objects = k.snap;
-      h_root = k.root;
-      h_oid_counter = Category_gen.counter k.oidgen;
-      h_cat_counter = Category_gen.counter k.catgen;
-      h_key = k.key;
-      h_now_ns = Sim_clock.now_ns k.clock;
-      h_syscall_cost_ns = k.syscall_cost_ns;
-      h_instrument = k.instrument;
-      h_weaken = k.weaken;
-      h_elide = k.elide;
-      h_label_epoch = k.label_epoch;
-      h_gate_summaries = copy_gate_summaries k.gate_summaries;
-      h_label_cache = Label_cache.copy k.label_cache;
-      h_profile = Profile.copy k.profile;
-      h_name = name;
-    }
-  in
-  (match name with
-  | Some n ->
-      Mutex.lock handle_registry_mu;
-      Hashtbl.replace handle_registry n h;
-      Mutex.unlock handle_registry_mu
-  | None -> ());
-  h
+  {
+    h_objects = k.snap;
+    h_root = k.root;
+    h_oid_counter = Category_gen.counter k.oidgen;
+    h_cat_counter = Category_gen.counter k.catgen;
+    h_key = k.key;
+    h_now_ns = Sim_clock.now_ns k.clock;
+    h_syscall_cost_ns = k.syscall_cost_ns;
+    h_instrument = k.instrument;
+    h_weaken = k.weaken;
+    h_elide = k.elide;
+    h_label_epoch = k.label_epoch;
+    h_gate_summaries = copy_gate_summaries k.gate_summaries;
+    h_label_cache = Label_cache.copy k.label_cache;
+    h_profile = Profile.copy k.profile;
+  }
 
 let resume h =
   let clock = Sim_clock.create () in
@@ -2084,30 +2059,6 @@ let resume h =
       Hashtbl.replace k.objects oid (decode_obj enc))
     h.h_objects;
   k
-
-let drop h =
-  match h.h_name with
-  | Some n ->
-      Mutex.lock handle_registry_mu;
-      (match Hashtbl.find_opt handle_registry n with
-      | Some h' when h' == h -> Hashtbl.remove handle_registry n
-      | Some _ | None -> ());
-      Mutex.unlock handle_registry_mu
-  | None -> ()
-
-let handle_name h = h.h_name
-
-let find_handle name =
-  Mutex.lock handle_registry_mu;
-  let r = Hashtbl.find_opt handle_registry name in
-  Mutex.unlock handle_registry_mu;
-  r
-
-let handle_names () =
-  Mutex.lock handle_registry_mu;
-  let ns = Hashtbl.fold (fun n _ acc -> n :: acc) handle_registry [] in
-  Mutex.unlock handle_registry_mu;
-  List.sort String.compare ns
 
 let handle_object_count h = Bptree.cardinal h.h_objects
 

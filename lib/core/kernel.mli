@@ -102,7 +102,6 @@ val step : t -> bool
 
 val runnable_count : t -> int
 val blocked_count : t -> int
-val live_thread_count : t -> int
 
 val next_timer_ns : t -> int64 option
 (** Earliest deadline (virtual ns) any thread is parked on, if any.
@@ -157,25 +156,13 @@ val recover : store:Histar_store.Store.t -> t
 type handle
 (** An immutable, branchable whole-kernel version. *)
 
-val fork : ?name:string -> t -> handle
-(** Capture the current state. With [~name] the handle is also
-    published in a process-wide registry ({!find_handle}) until
-    {!drop}ped — named branch points for multi-phase harnesses. *)
+val fork : t -> handle
+(** Capture the current state. *)
 
 val resume : handle -> t
 (** An independent kernel at the captured state: fresh clock advanced
     to the captured virtual time, generators restored, no backing
     store. Mutations never reach the handle or any sibling branch. *)
-
-val drop : handle -> unit
-(** Unpublish a named handle from the registry (no-op for anonymous
-    handles or if the name was rebound since). The value itself stays
-    usable — dropping only forgets the name. *)
-
-val handle_name : handle -> string option
-val find_handle : string -> handle option
-val handle_names : unit -> string list
-(** Registered branch-point names, sorted. *)
 
 val handle_object_count : handle -> int
 

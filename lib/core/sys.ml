@@ -28,7 +28,6 @@ let int_resp name req =
 let cat_create () =
   match perform Cat_create with R_cat c -> c | r -> fail_resp "cat_create" r
 
-let self_id () = oid_resp "self_id" Self_get_id
 let self_label () = label_resp "self_label" Self_get_label
 let self_clearance () = label_resp "self_clearance" Self_get_clearance
 let self_set_label l = unit_resp "self_set_label" (Self_set_label l)

@@ -13,7 +13,6 @@ open Types
 (** {1 Categories and self} *)
 
 val cat_create : unit -> Category.t
-val self_id : unit -> oid
 val self_label : unit -> Label.t
 val self_clearance : unit -> Label.t
 val self_set_label : Label.t -> unit

@@ -65,7 +65,6 @@ type t = {
   mutable crash_after : int option;  (** media writes remaining before crash *)
   mutable is_crashed : bool;
   mutable media_writes : int;  (** lifetime media sector writes (monotonic) *)
-  mutable write_trace : (sector:int -> data:string -> unit) option;
   mutable pre_write_hook : (unit -> unit) option;
   mutable faults : Disk_faults.t option;  (** injected media faults *)
 }
@@ -94,7 +93,6 @@ let create ?(geometry = default_geometry) ?(params = default_params) ?faults
     crash_after = None;
     is_crashed = false;
     media_writes = 0;
-    write_trace = None;
     pre_write_hook = None;
   }
 
@@ -228,10 +226,7 @@ let media_write_one t i data =
   t.media <- Bptree.insert t.media (Int64.of_int i) data;
   t.stats.sectors_written <- t.stats.sectors_written + 1;
   t.media_writes <- t.media_writes + 1;
-  Metrics.Counter.incr m_media_sector_writes;
-  match t.write_trace with
-  | Some f -> f ~sector:i ~data
-  | None -> ()
+  Metrics.Counter.incr m_media_sector_writes
 
 let flush t =
   check_alive t;
@@ -280,7 +275,6 @@ let set_crash_after_writes t n =
 
 let crashed t = t.is_crashed
 let media_writes t = t.media_writes
-let set_write_trace t f = t.write_trace <- f
 let set_pre_write_hook t f = t.pre_write_hook <- f
 
 let reopen_after_crash t =
@@ -293,7 +287,6 @@ let reopen_after_crash t =
     crash_after = None;
     is_crashed = false;
     media_writes = 0;
-    write_trace = None;
     pre_write_hook = None;
     stats = fresh_stats ();
   }
@@ -321,7 +314,6 @@ let restore snap ~clock =
     crash_after = None;
     is_crashed = false;
     media_writes = 0;
-    write_trace = None;
     pre_write_hook = None;
     faults = None;
   }
@@ -342,6 +334,5 @@ let fork t =
         seeks = t.stats.seeks;
       };
     crash_after = None;
-    write_trace = None;
     pre_write_hook = None;
   }

@@ -34,9 +34,6 @@ type geometry = {
   sector_bytes : int;  (** bytes per sector (512) *)
 }
 
-val default_geometry : geometry
-(** 40 GB of 512-byte sectors, like the paper's drive. *)
-
 type params = {
   seek_min_us : float;  (** track-to-track seek *)
   seek_max_us : float;  (** full-stroke seek *)
@@ -94,11 +91,6 @@ val media_writes : t -> int
     handle (monotonic; unaffected by {!reset_stats}). The crash-sweep
     driver records this after a clean run to enumerate every possible
     crash point. A handle from {!reopen_after_crash} starts at zero. *)
-
-val set_write_trace : t -> (sector:int -> data:string -> unit) option -> unit
-(** Observe every media sector write (after it lands). Used by the
-    checking harness to record write traces; [None] disables. The hook
-    does not fire for writes absorbed by the volatile cache. *)
 
 (** {1 Fault injection} *)
 

@@ -162,10 +162,6 @@ module Peer_health = struct
     in
     p.down_until_ns <- Int64.add now_ns backoff
 
-  let fail_count t ~node = (peer t node).fails
-
-  let is_down t ~node ~now_ns =
-    match usable t ~node ~now_ns with `No -> true | `Yes | `Probe -> false
 end
 
 type service = {
@@ -317,10 +313,6 @@ let register t ~service ~label ~clearance handler =
   t.svc_version <- t.svc_version + 1;
   Hashtbl.replace t.services service
     { sv_label = label; sv_clear = clearance; sv_handler = handler }
-
-let unregister t ~service =
-  t.svc_version <- t.svc_version + 1;
-  Hashtbl.remove t.services service
 
 (* Poll-park until the proxy posts its result. A futex would require
    the clean conn thread to observe tainted proxy writes; virtual

@@ -47,9 +47,7 @@ type call_error =
     - [HISTAR_DIST_SESSION_TTL_MS] — app-node session-token cache TTL
       (default 5000) *)
 module Tuning : sig
-  val giveup : unit -> int
   val cooldown_ms : unit -> int
-  val retry_cap_ms : unit -> int
   val shards : unit -> int
   val session_ttl_ms : unit -> int
 end
@@ -77,8 +75,6 @@ module Peer_health : sig
   val failed : t -> node:int -> now_ns:int64 -> unit
   (** Record a transport failure: doubles the backoff window. *)
 
-  val fail_count : t -> node:int -> int
-  val is_down : t -> node:int -> now_ns:int64 -> bool
 end
 
 val start :
@@ -111,16 +107,12 @@ val register :
     runs on the proxy thread and returns the reply payload plus
     categories to grant through the return (it must own them).
 
-    Re-registering (any [register] or {!unregister} call) bumps the
+    Re-registering (any [register] call) bumps the
     node's service-table version, invalidating the per-connection
     admission memos: a long-lived peer connection re-runs the full
     translate+admit for each (caller, label, capacity, service) tuple
     after the table changes, and otherwise replays the cached admit —
     counted in [net.dist_admit_batched].  Refusals are never cached. *)
-
-val unregister : t -> service:string -> unit
-(** Remove a service (e.g. while its shard's data is mid-handoff);
-    callers get a remote error until it is re-registered. *)
 
 val export_owned : t -> ?trust:int list -> Category.t -> int64
 (** Publish a locally-owned category cluster-wide: mint its wire

@@ -27,7 +27,7 @@ type point = {
 type t = {
   mutable points : point array;  (* sorted by unsigned hash *)
   vnodes : int;
-  mutable members : int list;  (* live members, ascending *)
+  members : int list;  (* live members, ascending *)
 }
 
 module Checksum = Histar_util.Checksum
@@ -72,18 +72,6 @@ let create ?(vnodes = 16) members =
   let t = { points = [||]; vnodes; members } in
   rebuild t;
   t
-
-let members t = t.members
-
-let add_member t node =
-  if not (List.mem node t.members) then (
-    t.members <- List.sort_uniq compare (node :: t.members);
-    rebuild t)
-
-let remove_member t node =
-  if List.mem node t.members then (
-    t.members <- List.filter (fun n -> n <> node) t.members;
-    rebuild t)
 
 (* First point clockwise from [h] (binary search over the sorted
    array, wrapping past the top). *)
@@ -151,9 +139,3 @@ let abort_handoff t ~key =
           p.draining <- None;
           Ok ())
 
-let draining_count t =
-  Array.fold_left (fun acc p -> if p.draining <> None then acc + 1 else acc) 0 t.points
-
-(* Keys from [keys] whose owning arc belongs to [node] — used by a
-   rebalance to enumerate what must move. *)
-let keys_owned t ~node keys = List.filter (fun k -> owner t k = Some node) keys

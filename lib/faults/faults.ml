@@ -275,7 +275,6 @@ module Disk_faults = struct
     else Read_ok
 
   let is_latent t ~sector = Hashtbl.mem t.latent sector
-  let latent_count t = Hashtbl.length t.latent
 end
 
 module Net_faults = struct

@@ -94,7 +94,6 @@ module Disk_faults : sig
 
   val on_read : t -> sector:int -> read_verdict
   val is_latent : t -> sector:int -> bool
-  val latent_count : t -> int
 end
 
 (** Network-side decision plan, consulted by [Hub] once per injected

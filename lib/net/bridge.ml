@@ -53,5 +53,3 @@ let connect ~a ~a_ip ~b ~b_ip ?(mac = "bridge") () =
   Hub.set_default_route b ~mac:mac_b;
   t
 
-let frames_forwarded t = t.forwarded
-let frames_unroutable t = t.unroutable

@@ -17,5 +17,3 @@ val connect :
     [a_ip]/[b_ip] and installing the ports as each hub's default
     route. *)
 
-val frames_forwarded : t -> int
-val frames_unroutable : t -> int

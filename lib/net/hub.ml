@@ -62,10 +62,8 @@ type t = {
   endpoints : (string, endpoint) Hashtbl.t;
   by_ip : (Addr.ip, string) Hashtbl.t;
   links : (string, link) Hashtbl.t;
-  mutable frames_sent : int;
   mutable frames_lost : int;
   mutable frames_no_route : int;
-  mutable bytes_sent : int;
   mutable default_route : string option;  (** MAC for unknown IPs *)
   mutable faults : Net_faults.t option;
   mutable tap : (string -> unit) option;
@@ -87,10 +85,8 @@ let create ?(bandwidth_bps = 100e6) ?(latency_us = 100.0) ?(loss_rate = 0.0)
     endpoints = Hashtbl.create 8;
     by_ip = Hashtbl.create 8;
     links = Hashtbl.create 8;
-    frames_sent = 0;
     frames_lost = 0;
     frames_no_route = 0;
-    bytes_sent = 0;
     default_route = None;
     faults;
     tap = None;
@@ -244,8 +240,6 @@ let inject_now t bytes =
   Sim_clock.advance_us t.clock
     ((t.latency_us /. 10.0)
     +. (float_of_int (nbytes * 8) /. t.bandwidth_bps *. 1e6));
-  t.frames_sent <- t.frames_sent + 1;
-  t.bytes_sent <- t.bytes_sent + nbytes;
   Metrics.Counter.incr m_frames_sent;
   Metrics.Counter.add m_bytes_sent nbytes;
   (* The tap is an eavesdropper on the shared wire: it sees every
@@ -307,13 +301,9 @@ let flush_outbox (ob : outbox) =
   ob := [];
   List.iter (fun (t, bytes) -> inject_now t bytes) frames
 
-let outbox_empty (ob : outbox) = !ob = []
-
-let frames_sent t = t.frames_sent
 let frames_lost t = t.frames_lost
 let frames_no_route t = t.frames_no_route
 let frames_dropped t = t.frames_lost + t.frames_no_route
-let bytes_sent t = t.bytes_sent
 
 (* Deliver everything still held in the reorder queue (a drained wire
    at the end of a run); used by tests to avoid conflating a held

@@ -88,8 +88,6 @@ val flush_outbox : outbox -> unit
 (** Re-inject the parked frames, oldest first, through the normal
     wire path. Call outside any {!with_outbox} scope. *)
 
-val outbox_empty : outbox -> bool
-
 val resolve : t -> Addr.ip -> string option
 (** MAC for an attached IP (the stand-in for ARP); falls back to the
     default route when set. *)
@@ -102,8 +100,6 @@ val lookup : t -> Addr.ip -> string option
 val set_default_route : t -> mac:string -> unit
 (** Deliver frames for unknown IPs to this endpoint (a gateway). *)
 
-val frames_sent : t -> int
-
 val frames_lost : t -> int
 (** Frames dropped by random loss, an injected fault, or a link flap. *)
 
@@ -113,8 +109,6 @@ val frames_no_route : t -> int
 
 val frames_dropped : t -> int
 (** [frames_lost + frames_no_route] — kept for compatibility. *)
-
-val bytes_sent : t -> int
 
 val flush_held : t -> unit
 (** Deliver any frames still parked in the reordering queue. Tests

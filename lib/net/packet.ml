@@ -109,19 +109,3 @@ let frame_of_bytes s =
   | f -> Some f
   | exception Codec.Truncated -> None
 
-let frame_len f = String.length (frame_to_bytes f)
-
-let pp_frame fmt f =
-  match f.ip.proto with
-  | Tcp t ->
-      Format.fprintf fmt "%a:%d -> %a:%d seq=%d ack=%d%s%s%s len=%d"
-        Addr.pp_ip f.ip.src_ip t.src_port Addr.pp_ip f.ip.dst_ip t.dst_port
-        t.seq t.ack_no
-        (if t.flags.syn then " SYN" else "")
-        (if t.flags.ack then " ACK" else "")
-        (if t.flags.fin then " FIN" else "")
-        (String.length t.payload)
-  | Udp u ->
-      Format.fprintf fmt "%a:%d -> %a:%d UDP len=%d" Addr.pp_ip f.ip.src_ip
-        u.usrc_port Addr.pp_ip f.ip.dst_ip u.udst_port
-        (String.length u.upayload)

@@ -32,7 +32,3 @@ val frame_to_bytes : frame -> string
 val frame_of_bytes : string -> frame option
 (** [None] on truncation, a malformed body, or an FCS mismatch. *)
 
-val frame_len : frame -> int
-(** Encoded length (including FCS), used for bandwidth accounting. *)
-
-val pp_frame : Format.formatter -> frame -> unit

@@ -68,7 +68,6 @@ and t = {
   listeners : (Addr.port, conn Queue.t) Hashtbl.t;
   udp_ports : (Addr.port, (Addr.t * string) Queue.t) Hashtbl.t;
   mutable next_port : int;
-  mutable segments_sent : int;
   mutable segments_retransmitted : int;
 }
 
@@ -83,13 +82,11 @@ let create ~mac ~ip ~send ~resolve ~clock () =
     listeners = Hashtbl.create 8;
     udp_ports = Hashtbl.create 8;
     next_port = 32_768;
-    segments_sent = 0;
     segments_retransmitted = 0;
   }
 
 let mac t = t.smac
 let ip t = t.sip
-let segments_sent t = t.segments_sent
 let segments_retransmitted t = t.segments_retransmitted
 
 let conn_key c = (c.local_port, c.remote.Addr.ip, c.remote.Addr.port)
@@ -98,7 +95,6 @@ let emit_tcp t ~dst_ip ~tcp =
   match t.resolve dst_ip with
   | None -> () (* unreachable host: silently dropped, like a dead ARP *)
   | Some dst_mac ->
-      t.segments_sent <- t.segments_sent + 1;
       Metrics.Counter.incr m_segments_sent;
       t.send_frame
         (frame_to_bytes
@@ -173,8 +169,6 @@ let maybe_time_span c ~upto =
 
 let inflight_bytes c =
   List.fold_left (fun acc (_, p) -> acc + String.length p) 0 c.inflight
-
-let bytes_in_flight = inflight_bytes
 
 (* Segment pending bytes from the tx queue into the window. Fin_wait
    still drains: close() with queued data must deliver it all before
@@ -503,8 +497,6 @@ let next_timer_deadline t =
         | None -> Some c.rto_deadline
         | Some d -> Some (Int64.min d c.rto_deadline))
     t.conns None
-
-let active_conns t = Hashtbl.length t.conns
 
 (* ----- UDP ----- *)
 

@@ -205,7 +205,3 @@ let run ?domains:darg n f =
     Array.map Option.get results
   end
 
-let map_array ?domains f arr = run ?domains (Array.length arr) (fun i -> f arr.(i))
-
-let map_list ?domains f l =
-  Array.to_list (map_array ?domains f (Array.of_list l))

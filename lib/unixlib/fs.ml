@@ -406,7 +406,3 @@ let fsync_range t path ~off ~len =
   | Some (n, _) -> Sys.sync_range (entry n) ~off ~len
   | None -> invalid_arg (Printf.sprintf "Fs.fsync_range: %s" path)
 
-let fsync_data t path =
-  match resolve t path with
-  | None -> invalid_arg (Printf.sprintf "Fs.fsync_data: %s" path)
-  | Some (n, _) -> Sys.sync_object (entry n)

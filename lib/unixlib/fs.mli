@@ -74,9 +74,6 @@ val fsync : t -> string -> unit
 (** Force the file and its directory metadata with a single log
     commit (one barrier). *)
 
-val fsync_data : t -> string -> unit
-(** Force only the file contents. *)
-
 val fsync_range : t -> string -> off:int -> len:int -> unit
 (** In-place flush of a byte range (the §7.1 random-write fast path). *)
 

@@ -3,8 +3,6 @@
     [{ur3, uw0, 1}]. There is no superuser — "root" is just a user
     whose categories things happen to be labeled with. *)
 
-open Histar_core.Types
-
 val create_user : fs:Fs.t -> name:string -> Process.user
 (** Allocate the user's categories (the calling thread becomes an
     owner) and create [/home/<name>] labeled [{ur3, uw0, 1}]. *)
@@ -12,19 +10,11 @@ val create_user : fs:Fs.t -> name:string -> Process.user
 val private_label : Process.user -> Histar_label.Label.t
 (** [{ur3, uw0, 1}]. *)
 
-val readonly_label : Process.user -> Histar_label.Label.t
-(** [{uw0, 1}]: world-readable, writable only by the user. *)
-
 val home : Process.user -> string
 val owns : Histar_label.Label.t -> Process.user -> bool
 (** Does this thread label carry both of the user's categories at ⋆? *)
-
-val grant_spec : Process.user -> (Histar_label.Category.t * Histar_label.Level.t) list
-(** Label additions giving full ownership of the user's categories. *)
 
 val sees : fs:Fs.t -> viewer:Histar_label.Label.t -> string -> bool
 (** Can a thread with this label read the named file? (Checked against
     the file's label; convenience for tests.) *)
 
-val ensure_home_root : fs:Fs.t -> oid
-(** Make sure /home exists; returns its container. *)

@@ -1346,32 +1346,6 @@ let test_fork_resume_isolated () =
   Alcotest.(check int) "handle object count" (Kernel.object_count k)
     (Kernel.handle_object_count h)
 
-let test_fork_named_handles () =
-  let k = Kernel.create () in
-  let h1 = Kernel.fork ~name:"phase-1" k in
-  let _tid = Kernel.spawn k ~name:"t" (fun () -> ignore (Sys.cat_create ())) in
-  Kernel.run k;
-  let h2 = Kernel.fork ~name:"phase-2" k in
-  Alcotest.(check (option string)) "name" (Some "phase-1")
-    (Kernel.handle_name h1);
-  let found name h =
-    match Kernel.find_handle name with Some h' -> h' == h | None -> false
-  in
-  Alcotest.(check bool) "registry finds phase-1" true (found "phase-1" h1);
-  Alcotest.(check bool) "registry finds phase-2" true (found "phase-2" h2);
-  Alcotest.(check bool) "names listed" true
-    (List.mem "phase-1" (Kernel.handle_names ())
-    && List.mem "phase-2" (Kernel.handle_names ()));
-  Kernel.drop h1;
-  Alcotest.(check bool) "dropped name forgotten" true
-    (Kernel.find_handle "phase-1" = None);
-  (* Dropping only forgets the name; the value still resumes. *)
-  let b = Kernel.resume h1 in
-  Alcotest.(check int) "dropped handle still resumes"
-    (Kernel.handle_object_count h1)
-    (Kernel.object_count b);
-  Kernel.drop h2
-
 let test_fork_resume_reruns_deterministically () =
   (* A resumed branch restarts its thread and replays the same suffix:
      generator state (oids, categories) was captured, so two resumes
@@ -1545,7 +1519,6 @@ let () =
         [
           Alcotest.test_case "fork/resume isolation" `Quick
             test_fork_resume_isolated;
-          Alcotest.test_case "named handles" `Quick test_fork_named_handles;
           Alcotest.test_case "resume is deterministic" `Quick
             test_fork_resume_reruns_deterministically;
           Alcotest.test_case "restart/set_gate_entry guards" `Quick
