@@ -406,12 +406,12 @@ type entry = {
   e_counters : (string * int) list;
 }
 
-(* A workload cell is always sealed: nested lib/par fan-out (the
-   dist-cluster workloads step nodes through Par.run) collapses to the
-   inline path, so the whole cell runs on one domain and its
-   domain-local metric window sees exactly its own work. Sealing even
-   at --jobs 1 keeps the counters — and thus the whole trajectory minus
-   wall_ms — byte-identical at every job count and HISTAR_DOMAINS. *)
+(* A workload cell is always sealed: any nested lib/par fan-out
+   collapses to the inline path, so the whole cell runs on one domain
+   and its domain-local metric window sees exactly its own work.
+   Sealing even at --jobs 1 keeps the counters — and thus the whole
+   trajectory minus wall_ms — byte-identical at every job count and
+   HISTAR_DOMAINS. *)
 let run_one size (name, descr, f) =
   Par.sealed @@ fun () ->
   let before = Metrics.snapshot_local () in

@@ -240,7 +240,7 @@ let rec park () =
 let rec build ?(app_nodes = 2) ?db_shards ?(user_count = 4) ?(seed = 7L)
     ?(work_us = 800) ?cooldown_ms ?faults () =
   let db_shards =
-    match db_shards with Some d -> max 1 d | None -> Distd.Tuning.shards ()
+    match db_shards with Some d -> max 1 d | None -> Distd.Tuning.shards
   in
   let cluster = Cluster.create () in
   let edge_clock = Sim_clock.create () in
@@ -736,7 +736,7 @@ and auth_user t ~user ~pass =
                   | wire :: _ ->
                       let ttl_ns =
                         Int64.mul
-                          (Int64.of_int (Distd.Tuning.session_ttl_ms ()))
+                          (Int64.of_int Distd.Tuning.session_ttl_ms)
                           1_000_000L
                       in
                       Hashtbl.replace t.sessions user

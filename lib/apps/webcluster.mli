@@ -60,13 +60,14 @@ val build :
   t
 (** Assemble the cluster: node 0 = balancer (dual-homed on the front
     and backbone hubs), nodes 1..N = app servers, nodes N+1..N+D = db
-    shards (D = [db_shards], default [HISTAR_DIST_SHARDS]). Each
-    shard gets its own virtual disk and single-level store; user
+    shards (D = [db_shards], default
+    {!Histar_dist.Distd.Tuning.shards}). Each shard gets its own
+    virtual disk and single-level store; user
     records and the shard's keeper thread are checkpointed at
     provisioning time. [work_us] is the modeled per-request rendering
     cost on an app node (the serial resource the scale benchmark
     measures); [cooldown_ms] seeds the balancer's backoff table
-    (default [HISTAR_DIST_COOLDOWN_MS]). [faults] arms the backbone
+    (default 40 ms, capped at 640 ms). [faults] arms the backbone
     hub (net sections), every shard disk (disk sections) and the
     kill/restart driver (crash sections) from one schedule. *)
 

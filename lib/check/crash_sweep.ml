@@ -126,23 +126,6 @@ let clean_run_with_captures w ~seed =
   assert (Array.length snaps = total);
   (inst, snaps, total)
 
-(* Run [f] with the current domain's metric shard switched off, so the
-   redundant per-chunk clean runs of a parallel fork sweep contribute
-   nothing — merged metric totals stay byte-identical to the
-   single-domain sweep. *)
-let metrics_quiet f = Metrics.with_enabled false f
-
-(* Contiguous split of [arr] into at most [d] nonempty chunks. Order is
-   preserved, so the lowest falsifying index always lives in the
-   lowest-numbered falsifying chunk — [Par.run]'s lowest-task-index
-   re-raise therefore reproduces the sequential first failure. *)
-let chunks_of d arr =
-  let m = Array.length arr in
-  let d = max 1 (min d m) in
-  List.init d (fun k -> Array.sub arr (k * m / d) (((k + 1) * m / d) - (k * m / d)))
-  |> List.filter (fun c -> Array.length c > 0)
-  |> Array.of_list
-
 let sweep ?domains ?seed:seed_arg ?(max_points = 64) ?full ?mode w =
   let seed = match seed_arg with Some s -> s | None -> Check.seed () in
   let full = match full with Some f -> f | None -> Check.full_mode () in
@@ -187,29 +170,12 @@ let sweep ?domains ?seed:seed_arg ?(max_points = 64) ?full ?mode w =
       finish ~total ~points:(Array.length indices) ~mode
   | `Fork ->
       let inst, snaps, total = clean_run_with_captures w ~seed in
-      let indices = Array.of_list (indices ~total) in
-      (* Fork cells share an instance ([restore_model] mutates it), so
-         parallelism is per contiguous chunk: chunk 0 reuses the clean
-         run above, every other chunk deterministically rebuilds its
-         own captures — silently, metrics-wise. *)
-      let d =
-        if Par.in_task () then 1
-        else match domains with Some d -> d | None -> Par.domains ()
-      in
-      let chunks = chunks_of d indices in
-      ignore
-        (Par.run ?domains (Array.length chunks) (fun k ->
-             let inst, snaps =
-               if k = 0 then (inst, snaps)
-               else
-                 let inst, snaps, _ =
-                   metrics_quiet (fun () -> clean_run_with_captures w ~seed)
-                 in
-                 (inst, snaps)
-             in
-             Array.iter (fork_one w inst ~seed ~total snaps) chunks.(k))
-          : unit array);
-      finish ~total ~points:(Array.length indices) ~mode
+      (* Fork cells share the one clean instance ([restore_model]
+         mutates it), so they run in index order on this domain; a
+         chunked pool fan-out measured no faster at two domains. *)
+      let indices = indices ~total in
+      List.iter (fork_one w inst ~seed ~total snaps) indices;
+      finish ~total ~points:(List.length indices) ~mode
 
 (* One cell's *recovery* work, metered: produce the crashed media at
    [index] by the given mode, then run the workload check with the

@@ -76,13 +76,13 @@ val sweep :
     (replay otherwise). Honors [HISTAR_CHECK_WORKLOAD] /
     [HISTAR_CHECK_CRASH_INDEX] for single-point replay.
 
-    Cells fan out on the lib/par pool ([?domains] defaults to
-    [Par.domains ()]): replay cells one per task, fork cells in
-    contiguous chunks (each extra chunk deterministically rebuilds its
-    own clean-run captures with metrics muted). Any falsification
-    raised, and the merged metric totals, are byte-identical at every
-    domain count — the first (lowest-index) failing cell wins, exactly
-    as in a sequential sweep. *)
+    Replay cells fan out one per task on the lib/par pool
+    ([?domains] defaults to [Par.domains ()]); fork cells share one
+    clean-run instance and run sequentially in index order on the
+    calling domain. Any falsification raised, and the merged metric
+    totals, are byte-identical at every domain count — the first
+    (lowest-index) failing cell wins, exactly as in a sequential
+    sweep. *)
 
 val recovery_metrics :
   t ->

@@ -801,11 +801,15 @@ let gate_create_impl k ~(spec : create_spec) ~clearance ~entry ~one_shot =
      categories the creator owns or the gate label already taints).
      This admits every configuration in the paper. See DESIGN.md. *)
   let* () =
-    let bound = Label.lub (Label.lub ct (Label.raise_j lt)) spec.label in
-    if not (Label.leq clearance bound) then
-      label_errf "gate_create: C_G=%s not ⊑ C_T ⊔ L_T^J ⊔ L_G"
-        (Label.to_string clearance)
-    else Ok ()
+    (* C_T is part of the bound, so a clearance within C_T needs no
+       join at all. *)
+    if Label.leq clearance ct then Ok ()
+    else
+      let bound = Label.lub (Label.lub ct (Label.raise_j lt)) spec.label in
+      if not (Label.leq clearance bound) then
+        label_errf "gate_create: C_G=%s not ⊑ C_T ⊔ L_T^J ⊔ L_G"
+          (Label.to_string clearance)
+      else Ok ()
   in
   let body = Gat { gclear = clearance; gentry = entry; gonce = one_shot } in
   let* o = create_object k ~spec ~kind:Gate ~clearance_check:true ~body in
@@ -1720,14 +1724,11 @@ let container_parent_of k oid =
 (* ---------- construction ---------- *)
 
 let create ?(seed = 0x4853_7461_7221L) ?clock ?store ?(syscall_cost_ns = 500)
-    ?(instrument = true) ?weaken ?elide () =
+    ?(instrument = true) ?weaken ?(elide = true) () =
   let clock = match clock with Some c -> c | None -> Sim_clock.create () in
   (* The stale-summary mutant is only meaningful with elision on, so it
-     forces it regardless of HISTAR_NO_ELIDE. *)
-  let elide =
-    (match elide with Some e -> e | None -> Label_cache.elide_default ())
-    || weaken = Some Weaken_stale_summary
-  in
+     forces it. *)
+  let elide = elide || weaken = Some Weaken_stale_summary in
   let k =
     {
       clock;
@@ -1921,7 +1922,7 @@ let recover ~store =
       syscall_cost_ns = 500;
       instrument = true;
       weaken = None;
-      elide = Label_cache.elide_default ();
+      elide = true;
       label_epoch = 0;
       gate_summaries = Hashtbl.create 32;
       key;

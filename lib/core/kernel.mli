@@ -61,8 +61,7 @@ val create :
     overhead test a no-instrumentation baseline. [weaken] (default
     none) deliberately disables one label check — tests only.
 
-    [elide] (default {!Label_cache.elide_default}[ ()], i.e. on unless
-    [HISTAR_NO_ELIDE=1]) enables label-check elision: per-gate flow
+    [elide] (default [true]) enables label-check elision: per-gate flow
     summaries answer repeat gate-invocation checks with one interned
     comparison, and label-cache hits count as [label.elided] instead of
     [label.checks]. Elision is decision-invisible — every syscall

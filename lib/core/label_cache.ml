@@ -7,23 +7,15 @@ module Metrics = Histar_metrics.Metrics
    [label.elided]   — decisions served without running the algebra
                       (cache hits and gate-summary hits),
    [label.denied]   — denials, elided or not, unchanged either way.
-   With elision off (HISTAR_NO_ELIDE=1 / [~elide:false]) cache hits
-   count as [label.checks] again, restoring the pre-elision accounting
-   where checks = hits + misses. *)
+   With elision off ([~elide:false]) cache hits count as
+   [label.checks] again, restoring the pre-elision accounting where
+   checks = hits + misses. *)
 let m_checks = Metrics.counter "label.checks"
 let m_denied = Metrics.counter "label.denied"
 let m_cache_hits = Metrics.counter "label.cache_hits"
 let m_cache_misses = Metrics.counter "label.cache_misses"
 let m_elided = Metrics.counter "label.elided"
 let m_summary_invalidations = Metrics.counter "label.summary_invalidations"
-
-(* HISTAR_NO_ELIDE=1 turns label-check elision off process-wide (both
-   the cache-hit reclassification here and the kernel's gate flow
-   summaries), for byte-identity comparisons against the naive path. *)
-let elide_default () =
-  match Stdlib.Sys.getenv_opt "HISTAR_NO_ELIDE" with
-  | Some ("1" | "true" | "yes") -> false
-  | Some _ | None -> true
 
 type key = Label.t * Label.t
 
@@ -36,8 +28,7 @@ type t = {
   mutable misses : int;
 }
 
-let create ?(bound = 8192) ?elide () =
-  let elide = match elide with Some e -> e | None -> elide_default () in
+let create ?(bound = 8192) ?(elide = true) () =
   {
     bound;
     elide;

@@ -14,20 +14,20 @@
     Counter semantics: with elision enabled (the default), a cache hit
     counts as [label.elided] — the §2 algebra did not run — and only
     misses and un-summarized gate checks count as [label.checks].
-    With elision disabled ([~elide:false], or [HISTAR_NO_ELIDE=1] in
-    the environment), hits count as [label.checks] as before, so
-    [label.checks = label.cache_hits + label.cache_misses] on
-    cache-only workloads. [label.denied] is identical either way. *)
+    With elision disabled ([~elide:false]), hits count as
+    [label.checks] as before, so [label.checks = label.cache_hits +
+    label.cache_misses] on cache-only workloads. [label.denied] is identical either way.
+
+    This cache and the kernel's per-gate flow summaries are the only
+    label-decision caches: {!Histar_label.Label}'s lattice operations
+    run the pointwise algebra on every call. *)
 
 type t
 
 val create : ?bound:int -> ?elide:bool -> unit -> t
 (** Default bound: 8192 entries per relation. [elide] defaults to
-    {!elide_default}[ ()]. *)
-
-val elide_default : unit -> bool
-(** [false] iff [HISTAR_NO_ELIDE] is set to [1]/[true]/[yes] in the
-    environment. *)
+    [true]; [false] is the reference switch for the elided-vs-naive
+    differential. *)
 
 val elide_enabled : t -> bool
 

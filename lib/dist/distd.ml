@@ -60,35 +60,22 @@ let m_probes = Metrics.counter "net.dist_probes"
 let m_batched = Metrics.counter "net.dist_admit_batched"
 let m_conn_reused = Metrics.counter "net.dist_conn_reused"
 
-(* --- tuning knobs ---
-
-   All dist-plane tuning lives under HISTAR_DIST_*, mirroring the
-   HISTAR_FAULTS / HISTAR_CHECK_* conventions: read at use time (so a
-   test can set and unset them), integer-valued, with the defaults
-   documented here and in EXPERIMENTS.md.
-
-     HISTAR_DIST_GIVEUP          connect attempts before a call gives
-                                 up with Transport (default 1 — fail
-                                 fast, the balancer handles failover)
-     HISTAR_DIST_COOLDOWN_MS     initial per-peer backoff after a
-                                 transport failure (default 40)
-     HISTAR_DIST_RETRY_CAP_MS    cap on the exponential backoff
-                                 (default 640 — 5 doublings)
-     HISTAR_DIST_SHARDS          user-db shard count for apps/bench
-                                 (default 3)
-     HISTAR_DIST_SESSION_TTL_MS  app-node session-token cache TTL
-                                 (default 5000) *)
+(* --- tuning constants --- *)
 module Tuning = struct
-  let env_int name default =
-    match Stdlib.Sys.getenv_opt name with
-    | Some s -> ( try int_of_string (String.trim s) with _ -> default)
-    | None -> default
+  (* Connect attempts before a call gives up with Transport: fail fast,
+     the balancer handles failover. *)
+  let giveup = 1
 
-  let giveup () = env_int "HISTAR_DIST_GIVEUP" 1
-  let cooldown_ms () = env_int "HISTAR_DIST_COOLDOWN_MS" 40
-  let retry_cap_ms () = env_int "HISTAR_DIST_RETRY_CAP_MS" 640
-  let shards () = env_int "HISTAR_DIST_SHARDS" 3
-  let session_ttl_ms () = env_int "HISTAR_DIST_SESSION_TTL_MS" 5_000
+  (* Initial per-peer backoff after a transport failure, and the cap on
+     its exponential growth (5 doublings). *)
+  let cooldown_ms = 40
+  let retry_cap_ms = 640
+
+  (* User-db shard count for apps and bench. *)
+  let shards = 3
+
+  (* App-node session-token cache TTL. *)
+  let session_ttl_ms = 5_000
 end
 
 (* --- peer health ---
@@ -97,7 +84,7 @@ end
    balancer used a fixed-period cooldown: a dead node was re-probed
    every cooldown forever, so a permanently dead shard cost one full
    RTO give-up per period for the rest of the run.  Here consecutive
-   failures double the backoff up to HISTAR_DIST_RETRY_CAP_MS; the
+   failures double the backoff up to [Tuning.retry_cap_ms]; the
    first send after a backoff window expires is a *probe*, counted in
    [net.dist_probes].  A probe that succeeds resets the peer to
    healthy; one that fails doubles the window again.  All state is
@@ -115,10 +102,10 @@ module Peer_health = struct
 
   let create ?cooldown_ms ?cap_ms () =
     let cd =
-      match cooldown_ms with Some m -> m | None -> Tuning.cooldown_ms ()
+      match cooldown_ms with Some m -> m | None -> Tuning.cooldown_ms
     in
     let cap =
-      match cap_ms with Some m -> m | None -> Tuning.retry_cap_ms ()
+      match cap_ms with Some m -> m | None -> Tuning.retry_cap_ms
     in
     {
       peers = Hashtbl.create 8;
@@ -689,7 +676,7 @@ let call t ~node ~service args =
       in
       let fresh () =
         match
-          Netd.Client.connect_retry ~attempts:(max 1 (Tuning.giveup ())) t.netd
+          Netd.Client.connect_retry ~attempts:Tuning.giveup t.netd
             ~return_container:rc (t.peers node)
         with
         | exception Netd.Client.Netd_error m -> Error (Transport m)

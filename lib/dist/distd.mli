@@ -32,24 +32,13 @@ type call_error =
   | Remote of string  (** remote execution error *)
   | Transport of string  (** connect/stream failure (node down, lossy link) *)
 
-(** Dist-plane tuning knobs, consolidated under [HISTAR_DIST_*] env
-    vars (read at use time, integer-valued), mirroring the
-    [HISTAR_FAULTS] / [HISTAR_CHECK_*] conventions:
-
-    - [HISTAR_DIST_GIVEUP] — connect attempts before a call fails with
-      [Transport] (default 1: fail fast, failover handles the rest)
-    - [HISTAR_DIST_COOLDOWN_MS] — initial per-peer backoff after a
-      transport failure (default 40)
-    - [HISTAR_DIST_RETRY_CAP_MS] — cap on the exponential backoff
-      (default 640)
-    - [HISTAR_DIST_SHARDS] — user-db shard count for apps and bench
-      (default 3)
-    - [HISTAR_DIST_SESSION_TTL_MS] — app-node session-token cache TTL
-      (default 5000) *)
+(** Dist-plane tuning constants. *)
 module Tuning : sig
-  val cooldown_ms : unit -> int
-  val shards : unit -> int
-  val session_ttl_ms : unit -> int
+  val shards : int
+  (** User-db shard count for apps and bench (3). *)
+
+  val session_ttl_ms : int
+  (** App-node session-token cache TTL (5000). *)
 end
 
 (** Per-peer failure tracking with capped exponential backoff, driven

@@ -1,9 +1,11 @@
 (* Labels are hash-consed: every value of type [t] in the process is
    interned in a weak table, so structurally equal labels are the same
-   heap object. [equal] is a pointer test and the lattice operations
-   memoize on compact intern ids. The [uid] is process-local and never
-   serialized; [compare] stays structural so orderings are stable
-   across runs. *)
+   heap object. [equal] is a pointer test. The [uid] is a compact
+   intern id: as the first field it is always inside the generic
+   hash's traversal bound, so the kernel's comparison-cache keys
+   ([Label_cache]) hash apart even when labels differ only deep in
+   their entry maps. It is process-local and never serialized;
+   [compare] stays structural so orderings are stable across runs. *)
 type t = { uid : int; default : Level.t; entries : Level.t Category.Map.t }
 
 let structural_equal a b =
@@ -25,7 +27,7 @@ let intern_tbl = Intern.create 1024
 let next_uid = ref 0
 
 (* Interning is process-global and domains intern concurrently (check
-   cells and cluster nodes run on the lib/par pool), so the weak table
+   and bench cells run on the lib/par pool), so the weak table
    and the uid counter sit behind one mutex. Canonical pointers stay
    canonical across domains — two domains interning structurally equal
    labels get the same heap object — which is what keeps [equal]'s
@@ -134,45 +136,9 @@ let pointwise_forall f a b =
       b.entries;
   !ok
 
-let leq_naive a b = pointwise_forall Level.leq a b
-let lub_naive a b = merge_with Level.max a b
-let glb_naive a b = merge_with Level.min a b
-
-(* Memo tables keyed by intern ids. Uids are never reused (the counter
-   only advances on fresh insertions), so a stale entry for a collected
-   label is inert: its key can never be looked up again. Bounded by
-   wholesale reset, mirroring [label_cache]. *)
-let memo_bound = 1 lsl 16
-
-(* Memo tables are shared across domains behind their own mutex. The
-   lock is *not* held while [compute] runs: compute re-enters [intern]
-   (its own lock), and a duplicate compute from a racing domain is
-   harmless — both results intern to the same canonical pointer, so
-   whichever insert lands last is equal to the other. *)
-let memo_mu = Mutex.create ()
-
-let memo (tbl : ((int * int), 'a) Hashtbl.t) key compute =
-  Mutex.lock memo_mu;
-  match Hashtbl.find_opt tbl key with
-  | Some v ->
-      Mutex.unlock memo_mu;
-      v
-  | None ->
-      Mutex.unlock memo_mu;
-      let v = compute () in
-      Mutex.lock memo_mu;
-      if Hashtbl.length tbl >= memo_bound then Hashtbl.reset tbl;
-      Hashtbl.replace tbl key v;
-      Mutex.unlock memo_mu;
-      v
-
-let leq_tbl : (int * int, bool) Hashtbl.t = Hashtbl.create 1024
-let lub_tbl : (int * int, t) Hashtbl.t = Hashtbl.create 1024
-let glb_tbl : (int * int, t) Hashtbl.t = Hashtbl.create 1024
-
-let leq a b = if a == b then true else memo leq_tbl (a.uid, b.uid) (fun () -> leq_naive a b)
-let lub a b = if a == b then a else memo lub_tbl (a.uid, b.uid) (fun () -> lub_naive a b)
-let glb a b = if a == b then a else memo glb_tbl (a.uid, b.uid) (fun () -> glb_naive a b)
+let leq a b = a == b || pointwise_forall Level.leq a b
+let lub a b = if a == b then a else merge_with Level.max a b
+let glb a b = if a == b then a else merge_with Level.min a b
 
 let map_levels f t =
   let d = f t.default in
@@ -180,16 +146,9 @@ let map_levels f t =
   let entries = Category.Map.filter (fun _ lv -> not (Level.equal lv d)) entries in
   intern ~default:d ~entries
 
-let raise_j_tbl : (int * int, t) Hashtbl.t = Hashtbl.create 1024
-let lower_star_tbl : (int * int, t) Hashtbl.t = Hashtbl.create 1024
-
-let raise_j t =
-  memo raise_j_tbl (t.uid, t.uid) (fun () ->
-      map_levels (function Level.Star -> Level.J | lv -> lv) t)
-
-let lower_star t =
-  memo lower_star_tbl (t.uid, t.uid) (fun () ->
-      map_levels (function Level.J -> Level.Star | lv -> lv) t)
+let raise_level = function Level.Star -> Level.J | lv -> lv
+let raise_j t = map_levels raise_level t
+let lower_star t = map_levels (function Level.J -> Level.Star | lv -> lv) t
 
 let owns t c =
   match get t c with Level.Star | Level.J -> true | Level.L0 | Level.L1 | Level.L2 | Level.L3 -> false
@@ -207,8 +166,13 @@ let level_exists p t =
 
 let has_star t = level_exists (Level.equal Level.Star) t
 let has_j t = level_exists (Level.equal Level.J) t
-let can_observe ~thread ~obj = leq obj (raise_j thread)
-let can_modify ~thread ~obj = leq thread obj && leq obj (raise_j thread)
+
+(* [L_O ⊑ L_T^J], compared level by level without building [L_T^J],
+   so the access checks never intern a label. *)
+let can_observe ~thread ~obj =
+  pointwise_forall (fun lo lt -> Level.leq lo (raise_level lt)) obj thread
+
+let can_modify ~thread ~obj = leq thread obj && can_observe ~thread ~obj
 let can_flow ~src ~dst = leq src dst
 let taint_to_read ~thread ~obj = lower_star (lub (raise_j thread) obj)
 let is_storable t = not (has_j t)

@@ -13,9 +13,11 @@
 
     Labels are hash-consed: every constructor interns its result in a
     process-wide weak table, so structurally equal labels are the same
-    heap object, [equal] is a pointer test, and [leq]/[lub]/[glb]
-    memoize on compact intern ids. The intern id is process-local and
-    never serialized; [compare] remains structural. *)
+    heap object and [equal] is a pointer test. The lattice operations
+    are the direct pointwise algebra; the kernel caches comparison
+    results itself ([Histar_core.Label_cache], §4). The intern id is
+    process-local and never serialized; [compare] remains
+    structural. *)
 
 type t
 
@@ -69,14 +71,6 @@ val lub : t -> t -> t
 
 val glb : t -> t -> t
 (** Greatest lower bound: pointwise minimum. *)
-
-val leq_naive : t -> t -> bool
-val lub_naive : t -> t -> t
-val glb_naive : t -> t -> t
-(** Un-memoized reference implementations — the direct §2 pointwise
-    algebra over the entry maps, bypassing the intern-id memo tables.
-    Oracles for the differential tests; the memoized operations must
-    agree with these exactly on every input. *)
 
 (** {1 Ownership operators} *)
 

@@ -206,18 +206,16 @@ let release_due t =
 
 (* ---------- deferred injection (BSP outboxes) ---------- *)
 
-(* The cluster driver steps kernels on separate domains between
-   global-virtual-time barriers. Everything a kernel touches while
-   stepping is its own — except the hub, whose inject path advances
-   the shared wire clock, consumes the shared loss RNG and delivers
-   synchronously into the destination stack. So while a kernel steps
-   inside [with_outbox], [inject] only appends the raw frame (with its
-   target hub) to the domain-local outbox and touches no hub state at
-   all; the driver flushes outboxes through the real inject path at
-   the barrier, in kernel registration order, FIFO within each sender.
-   The flush order is a pure function of registration order, so the
-   wire schedule is identical whatever the domain count — including 1,
-   which is what makes single- and multi-domain runs byte-identical. *)
+(* The cluster driver steps kernels in rounds between global-virtual-
+   time barriers. While a kernel steps inside [with_outbox], [inject]
+   only appends the raw frame (with its target hub) to the outbox and
+   touches no hub state at all — not the shared wire clock, the shared
+   loss RNG, or the destination stack; the driver flushes outboxes
+   through the real inject path at the barrier, in kernel registration
+   order, FIFO within each sender, so the wire schedule is a pure
+   function of registration order. The active outbox is domain-local
+   because whole clusters also run inside lib/par pool cells (the
+   dist-cluster cells of [bench --jobs]), one cluster per domain. *)
 type outbox = (t * string) list ref (* reversed *)
 
 let new_outbox () : outbox = ref []

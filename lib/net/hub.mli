@@ -63,7 +63,7 @@ val inject : t -> string -> unit
 
     Inside {!with_outbox} the frame is deferred to the active outbox
     instead, touching no hub state — the BSP hook the cluster driver
-    uses to step kernels on separate domains between barriers. *)
+    uses to step kernels between barriers. *)
 
 (** {2 Deferred injection (BSP outboxes)}
 
@@ -72,9 +72,10 @@ val inject : t -> string -> unit
     hub, in a domain-local outbox, and the driver flushes them through
     the real inject path at the next global-virtual-time barrier in
     kernel registration order (FIFO within a sender). The flush
-    schedule is a pure function of registration order — independent of
-    how many domains stepped the kernels — which is what keeps
-    multi-domain cluster runs byte-identical to single-domain ones. *)
+    schedule is a pure function of registration order, independent of
+    the order the kernels stepped in. The active outbox is
+    domain-local, so clusters running in separate pool cells (one per
+    domain) never share one. *)
 
 type outbox
 

@@ -130,14 +130,26 @@ let test_metrics_merge_independent () =
 (* --- labels: weak intern table keeps pointer-equality under load ------ *)
 
 let test_label_intern_stress () =
-  let lvl = Histar_label.Level.of_int in
+  let module Level = Histar_label.Level in
+  let module Category = Histar_label.Category in
+  let module Mlabel = Histar_model.Mlabel in
+  let lvl = Level.of_int in
   let mk i =
     Label.of_list
       [
-        (Histar_label.Category.of_int (i mod 17), lvl 3);
-        (Histar_label.Category.of_int (100 + (i mod 5)), lvl 0);
+        (Category.of_int (i mod 17), lvl 3);
+        (Category.of_int (100 + (i mod 5)), lvl 0);
+        (Category.of_int (200 + (i mod 5)), Level.Star);
       ]
       (lvl (if i land 1 = 0 then 1 else 2))
+  in
+  let model l =
+    let ents, d = Label.ranked l in
+    Mlabel.of_entries ents d
+  in
+  let agrees what l m =
+    if Label.ranked l <> (Mlabel.entries m, Mlabel.default m) then
+      failwith (Printf.sprintf "%s disagrees with Mlabel" what)
   in
   List.iter
     (fun d ->
@@ -149,8 +161,35 @@ let test_label_intern_stress () =
                same pointer even when built on different domains *)
             if a != b then
               failwith (Printf.sprintf "intern broke pointer eq at %d" i);
-            ignore (Label.leq a b : bool);
-            ignore (Label.lub a b : Label.t);
+            (* the lattice algebra, run concurrently on every
+               domain, against the reference model *)
+            let c = mk ((i * 7) + 3) in
+            let ma = model a and mc = model c in
+            if Label.leq a c <> Mlabel.leq ma mc then
+              failwith (Printf.sprintf "leq disagrees with Mlabel at %d" i);
+            (* [readable] sits at level 1 where [a] owns, so only the
+               ⋆-to-J shift lets [a] observe it *)
+            let readable =
+              Label.of_list [ (Category.of_int (200 + (i mod 5)), lvl 1) ] (lvl 0)
+            in
+            List.iter
+              (fun obj ->
+                let mo = model obj in
+                if
+                  Label.can_observe ~thread:a ~obj
+                  <> Mlabel.can_observe ~thread:ma ~obj:mo
+                  || Label.can_modify ~thread:a ~obj
+                     <> Mlabel.can_modify ~thread:ma ~obj:mo
+                then
+                  failwith
+                    (Printf.sprintf "access check disagrees with Mlabel at %d" i))
+              [ c; readable ];
+            agrees "lub" (Label.lub a c) (Mlabel.lub ma mc);
+            agrees "glb" (Label.glb a c) (Mlabel.glb ma mc);
+            agrees "raise_j" (Label.raise_j a) (Mlabel.raise_j ma);
+            agrees "lower_star"
+              (Label.lower_star (Label.raise_j c))
+              (Mlabel.lower_star (Mlabel.raise_j mc));
             a)
       in
       (* same (i mod 17, i mod 5, parity) triple => same interned label *)
