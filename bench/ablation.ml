@@ -21,6 +21,7 @@ open Harness
 module Label = Histar_label.Label
 module Level = Histar_label.Level
 module Category = Histar_label.Category
+module Metrics = Histar_metrics.Metrics
 
 let files = 300
 
@@ -70,14 +71,20 @@ let run () =
    let store = Store.format ~disk ~wal_sectors:65_536 () in
    let kernel = Kernel.create ~clock ~store ~syscall_cost_ns:120 () in
    let m = { kernel; clock; disk; store } in
-   boot m (fun fs _proc ->
-       ignore (Fs.mkdir fs "/churn");
-       for i = 0 to 199 do
-         let p = Printf.sprintf "/churn/f%d" (i mod 20) in
-         Fs.write_file fs p "x";
-         ignore (Fs.read_file fs p)
-       done);
-   let hits, misses = Kernel.label_cache_stats kernel in
+   let d =
+     Metrics.with_enabled true (fun () ->
+         let before = Metrics.snapshot_local () in
+         boot m (fun fs _proc ->
+             ignore (Fs.mkdir fs "/churn");
+             for i = 0 to 199 do
+               let p = Printf.sprintf "/churn/f%d" (i mod 20) in
+               Fs.write_file fs p "x";
+               ignore (Fs.read_file fs p)
+             done);
+         Metrics.diff ~before ~after:(Metrics.snapshot_local ()))
+   in
+   let hits = Metrics.value_in d "label.cache_hits" in
+   let misses = Metrics.value_in d "label.cache_misses" in
    Printf.printf "fs churn workload: %d hits, %d misses (%.1f%% hit rate)\n"
      hits misses
      (100.0 *. float_of_int hits /. float_of_int (max 1 (hits + misses))));

@@ -187,6 +187,14 @@ let pp_term = function
 
 let pos_mod a n = ((a mod n) + n) mod n
 
+(* An object's slot: its index in the trace's slot table, -1 if absent. *)
+let slot_in slots oid =
+  let rec go i = function
+    | [] -> -1
+    | o :: tl -> if Int64.equal o oid then i else go (i + 1) tl
+  in
+  go 0 slots
+
 let eclass : T.error -> string = function
   | T.Label_check _ -> "label"
   | T.Not_found_ _ -> "not_found"
@@ -219,22 +227,16 @@ type model_run = {
   mr_slots : Model.oid list;
 }
 
-(* Model-side executor over caller-owned refs, so execution can start
-   from any captured prefix state (the fork-based corpus path) as well
-   as from scratch. The returned function raises [Stop_model] on a
-   terminal step. *)
-let mk_model_harness ~st ~slots ~ncats ~outs =
+let run_model ops =
+  let st = ref (Model.init ()) in
   let tid = Model.boot_thread !st in
+  let slots = ref [ Model.root !st; tid ] in
+  let ncats = ref 0 in
+  let outs = ref [] in
   let record o = outs := o :: !outs in
   let nslots () = List.length !slots in
   let oid_of s = List.nth !slots (pos_mod s (nslots ())) in
-  let slot_of oid =
-    let rec go i = function
-      | [] -> -1
-      | o :: tl -> if Int64.equal o oid then i else go (i + 1) tl
-    in
-    go 0 !slots
-  in
+  let slot_of oid = slot_in !slots oid in
   let ce (c, o) : Model.centry = { container = oid_of c; object_id = oid_of o } in
   let mlab sp =
     let n = !ncats in
@@ -421,14 +423,6 @@ let mk_model_harness ~st ~slots ~ncats ~outs =
     | O_sync_object (c, o) ->
         record (out_of (mstep (Model.Sync_object (ce (c, o)))))
   in
-  do_op
-
-let run_model ops =
-  let st = ref (Model.init ()) in
-  let slots = ref [ Model.root !st; Model.boot_thread !st ] in
-  let ncats = ref 0 in
-  let outs = ref [] in
-  let do_op = mk_model_harness ~st ~slots ~ncats ~outs in
   let term =
     try
       List.iter do_op ops;
@@ -477,36 +471,91 @@ let out_tag = function
   | Ok_maps _ -> "m"
   | Err c -> "E" ^ c
 
-(* The service body every trace gate runs: immediately gate-return,
-   optionally granting every owned category (the §6.2 pattern). Kept
-   standalone so a resumed branch can re-arm a deserialized gate with
-   an entry identical to the one serialization dropped. *)
-let gate_entry ~stuck keep () =
-  try
-    if keep then
-      Sys.gate_return
-        ~keep:(Category.Set.elements (Label.owned (Sys.self_label ())))
-        ()
-    else Sys.gate_return ()
-  with T.Kernel_error e ->
-    stuck := Some (eclass e);
-    Sys.self_halt ()
+(* Metrics window around one scheduler run; the delta is what the
+   coverage signature buckets. *)
+let metered f =
+  (* Domain-local window: a scheduler run never leaves its domain, so
+     concurrent fuzz cells on other pool domains can't bleed into the
+     delta. *)
+  Metrics.with_enabled true (fun () ->
+      let before = Metrics.snapshot_local () in
+      f ();
+      Metrics.diff ~before ~after:(Metrics.snapshot_local ()))
 
-(* Kernel-side executor over caller-owned refs (slot/category tables,
-   recorded outcomes, created-gate registry for branch re-arming). The
-   returned function performs syscalls, so it must run inside a kernel
-   thread. *)
-let mk_real_harness ~outs ~slots ~cats ~stuck ~gates =
+let bucketed l = List.map (fun (s, n) -> (s, bucket n)) l
+
+(* Label-check elision moves counts from [label.checks] to
+   [label.elided] (and adds [label.summary_invalidations]) without
+   changing any decision. Coverage signatures fold the split back
+   together and drop the invalidation counter, so corpus evolution —
+   and hence whole fuzz reports — are bit-identical with elision on
+   and off. *)
+let normalize_mdiff l =
+  let elided = ref 0 in
+  let keep =
+    List.filter
+      (fun (n, v) ->
+        match n with
+        | "label.elided" ->
+            elided := v;
+            false
+        | "label.summary_invalidations" -> false
+        | _ -> true)
+      l
+  in
+  if !elided = 0 then keep
+  else
+    let merged = ref false in
+    let l' =
+      List.map
+        (fun (n, v) ->
+          if String.equal n "label.checks" then begin
+            merged := true;
+            (n, v + !elided)
+          end
+          else (n, v))
+        keep
+    in
+    if !merged then l'
+    else
+      List.sort
+        (fun (x, _) (y, _) -> String.compare x y)
+        (("label.checks", !elided) :: l')
+
+let cov_of ~k ~mdiff ~outs ~term =
+  Hashtbl.hash
+    ( bucketed (Profile.to_list (Kernel.profile k)),
+      bucketed (normalize_mdiff mdiff),
+      List.map out_tag outs,
+      pp_term term )
+
+(* Run the whole trace in a driver thread on a fresh kernel, in one
+   scheduler run. *)
+let run_real ?weaken ?elide ops =
+  let k = Kernel.create ?weaken ?elide () in
+  let outs = ref [] in
+  let slots = ref [ Kernel.root k ] in
+  let cats : Category.t list ref = ref [] in
+  let stuck = ref None in
+  let crash = ref None in
+  let completed = ref false in
+  (* The service body every trace gate runs: immediately gate-return,
+     optionally granting every owned category (the §6.2 pattern). *)
+  let gate_entry keep () =
+    try
+      if keep then
+        Sys.gate_return
+          ~keep:(Category.Set.elements (Label.owned (Sys.self_label ())))
+          ()
+      else Sys.gate_return ()
+    with T.Kernel_error e ->
+      stuck := Some (eclass e);
+      Sys.self_halt ()
+  in
   let record o = outs := o :: !outs in
   let nslots () = List.length !slots in
   let oid_of s = List.nth !slots (pos_mod s (nslots ())) in
-  let slot_of oid =
-    let rec go i = function
-      | [] -> -1
-      | o :: tl -> if Int64.equal o oid then i else go (i + 1) tl
-    in
-    go 0 !slots
-  in
+  let slot_of oid = slot_in !slots oid in
   let ce (c, o) = T.centry (oid_of c) (oid_of o) in
   let lab sp =
     let n = List.length !cats in
@@ -655,22 +704,16 @@ let mk_real_harness ~outs ~slots ~cats ~stuck ~gates =
                  ~clearance:(lab csp) ~quota:q ~name:"thr" (fun () -> ())))
     | O_gate_create (c, sp, csp, q, keep) ->
         atomic (fun () ->
-            let g =
-              Sys.gate_create ~container:(oid_of c) ~label:(lab sp)
-                ~clearance:(lab csp) ~quota:q ~name:"gate"
-                (gate_entry ~stuck keep)
-            in
-            gates := !gates @ [ (g, keep) ];
-            created g)
+            created
+              (Sys.gate_create ~container:(oid_of c) ~label:(lab sp)
+                 ~clearance:(lab csp) ~quota:q ~name:"gate"
+                 (gate_entry keep)))
     | O_gate_create_oneshot (c, sp, csp, q, keep) ->
         atomic (fun () ->
-            let g =
-              Sys.gate_create ~one_shot:true ~container:(oid_of c)
-                ~label:(lab sp) ~clearance:(lab csp) ~quota:q ~name:"gate1"
-                (gate_entry ~stuck keep)
-            in
-            gates := !gates @ [ (g, keep) ];
-            created g)
+            created
+              (Sys.gate_create ~one_shot:true ~container:(oid_of c)
+                 ~label:(lab sp) ~clearance:(lab csp) ~quota:q ~name:"gate1"
+                 (gate_entry keep)))
     | O_gate_call (g, lsp, csp, vsp, r) ->
         atomic (fun () ->
             let gate = ce g in
@@ -703,90 +746,6 @@ let mk_real_harness ~outs ~slots ~cats ~stuck ~gates =
             Sys.sync_object (ce (c, o));
             Ok_unit)
   in
-  do_op
-
-(* Metrics window around one scheduler run; the delta is what the
-   coverage signature buckets. *)
-let metered f =
-  (* Domain-local window: a scheduler run never leaves its domain, so
-     concurrent fuzz cells on other pool domains can't bleed into the
-     delta. *)
-  Metrics.with_enabled true (fun () ->
-      let before = Metrics.snapshot_local () in
-      f ();
-      Metrics.diff ~before ~after:(Metrics.snapshot_local ()))
-
-(* Sum metric deltas: every snapshot scalar (counters, histogram
-   _count/_sum flattenings) is additive, so per-op windows sum to the
-   single-window delta of an uninterrupted run. *)
-let add_mdiff a b =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun (n, v) -> Hashtbl.replace tbl n v) a;
-  List.iter
-    (fun (n, v) ->
-      Hashtbl.replace tbl n
-        (v + Option.value (Hashtbl.find_opt tbl n) ~default:0))
-    b;
-  Hashtbl.fold (fun n v acc -> if v = 0 then acc else (n, v) :: acc) tbl []
-  |> List.sort (fun (x, _) (y, _) -> String.compare x y)
-
-let bucketed l = List.map (fun (s, n) -> (s, bucket n)) l
-
-(* Label-check elision moves counts from [label.checks] to
-   [label.elided] (and adds [label.summary_invalidations]) without
-   changing any decision. Coverage signatures fold the split back
-   together and drop the invalidation counter, so corpus evolution —
-   and hence whole fuzz reports — are bit-identical with elision on
-   and off. *)
-let normalize_mdiff l =
-  let elided = ref 0 in
-  let keep =
-    List.filter
-      (fun (n, v) ->
-        match n with
-        | "label.elided" ->
-            elided := v;
-            false
-        | "label.summary_invalidations" -> false
-        | _ -> true)
-      l
-  in
-  if !elided = 0 then keep
-  else
-    let merged = ref false in
-    let l' =
-      List.map
-        (fun (n, v) ->
-          if String.equal n "label.checks" then begin
-            merged := true;
-            (n, v + !elided)
-          end
-          else (n, v))
-        keep
-    in
-    if !merged then l'
-    else
-      List.sort
-        (fun (x, _) (y, _) -> String.compare x y)
-        (("label.checks", !elided) :: l')
-
-let cov_of ~k ~mdiff ~outs ~term =
-  Hashtbl.hash
-    ( bucketed (Profile.to_list (Kernel.profile k)),
-      bucketed (normalize_mdiff mdiff),
-      List.map out_tag outs,
-      pp_term term )
-
-let run_real ?weaken ?elide ops =
-  let k = Kernel.create ?weaken ?elide () in
-  let outs = ref [] in
-  let slots = ref [ Kernel.root k ] in
-  let cats : Category.t list ref = ref [] in
-  let stuck = ref None in
-  let gates = ref [] in
-  let crash = ref None in
-  let completed = ref false in
-  let do_op = mk_real_harness ~outs ~slots ~cats ~stuck ~gates in
   let driver () =
     (try List.iter do_op ops with
     | T.Kernel_error e -> outs := Err (eclass e) :: !outs
@@ -935,20 +894,8 @@ let compare_runs (m : model_run) (r : real_run) =
           (Printf.sprintf "slot tables diverged: model=%d kernel=%d"
              (List.length m.mr_slots) (List.length r.rr_slots))
       else begin
-        let mslot_of oid =
-          let rec go i = function
-            | [] -> -1
-            | o :: tl -> if Int64.equal o oid then i else go (i + 1) tl
-          in
-          go 0 m.mr_slots
-        in
-        let rslot_of oid =
-          let rec go i = function
-            | [] -> -1
-            | o :: tl -> if Int64.equal o oid then i else go (i + 1) tl
-          in
-          go 0 r.rr_slots
-        in
+        let mslot_of = slot_in m.mr_slots in
+        let rslot_of = slot_in r.rr_slots in
         let rec slots i ms rs =
           match (ms, rs) with
           | [], [] -> None
@@ -965,198 +912,35 @@ let compare_runs (m : model_run) (r : real_run) =
         slots 0 m.mr_slots r.rr_slots
       end
 
-(* ---------- branchable execution (fork-based corpus path) ---------- *)
+let run_pair ?weaken ?elide trace =
+  let m = run_model trace in
+  let r = run_real ?weaken ?elide trace in
+  (compare_runs m r, r.rr_cov)
 
-type exec_mode = [ `Fork | `Replay ]
+let compare_traces ?weaken ?elide trace = fst (run_pair ?weaken ?elide trace)
+let trace_cov ?weaken ?elide trace = snd (run_pair ?weaken ?elide trace)
 
-(* The paired kernel+model state after a trace prefix: the kernel as an
-   immutable [Kernel.handle], the model as a pure value, plus the
-   harness bookkeeping both executors need to pick up mid-trace. A
-   branch is a value — resuming one never disturbs siblings — so a
-   corpus entry can seed any number of mutants from its prefix
-   states. *)
-type branch = {
-  br_handle : Kernel.handle;
-  br_tid : T.oid;  (* driver thread, slot 1 *)
-  br_outs : outcome list;  (* reversed *)
-  br_slots : T.oid list;
-  br_cats : Category.t list;
-  br_stuck : string option;
-  br_gates : (T.oid * bool) list;  (* created gates: (oid, keep) *)
-  br_mdiff : Metrics.snapshot;  (* summed per-op metric windows *)
-  br_term : term option;  (* kernel side went terminal at/before here *)
-  br_mst : Model.state;
-  br_mslots : Model.oid list;
-  br_mncats : int;
-  br_mouts : outcome list;  (* reversed *)
-  br_mterm : term option;
-}
+(* ---------- fork/resume round trip ---------- *)
 
-let initial_branch ?weaken ?elide () =
-  let mst = Model.init () in
-  let k = Kernel.create ?weaken ?elide () in
-  let tid = Kernel.spawn k ~name:"driver" (fun () -> ()) in
-  {
-    br_handle = Kernel.fork k;
-    br_tid = tid;
-    br_outs = [];
-    br_slots = [ Kernel.root k; tid ];
-    br_cats = [];
-    br_stuck = None;
-    br_gates = [];
-    br_mdiff = [];
-    br_term = None;
-    br_mst = mst;
-    br_mslots = [ Model.root mst; Model.boot_thread mst ];
-    br_mncats = 0;
-    br_mouts = [];
-    br_mterm = None;
-  }
-
-(* Run [ops] from [base]. Model side: plain value-threaded steps.
-   Kernel side: [Kernel.resume], re-arm the surviving gates, then one
-   [Kernel.run] per op — the driver thread is restarted with each op's
-   body and a fresh metric window wraps each run. Summed windows equal
-   the single window of an uninterrupted replay (all snapshot scalars
-   are additive) and the generators/clock/profile travel inside the
-   handle, so outcomes, termination and the coverage signature are
-   bit-identical to replaying [prefix @ ops] from scratch — the
-   equivalence the double-run tests pin down.
-
-   With [capture], a branch is recorded after every op; capture stops
-   at a kernel-side crash (that op is cheap to re-execute from the
-   previous branch) and the op loop short-circuits once both sides are
-   terminal. *)
-let exec_from ?(capture = false) base ops =
-  let mst = ref base.br_mst in
-  let mslots = ref base.br_mslots in
-  let mncats = ref base.br_mncats in
-  let mouts = ref base.br_mouts in
-  let mterm = ref base.br_mterm in
-  let mdo = mk_model_harness ~st:mst ~slots:mslots ~ncats:mncats ~outs:mouts in
-  let k = Kernel.resume base.br_handle in
-  let tid = base.br_tid in
-  let outs = ref base.br_outs in
-  let slots = ref base.br_slots in
-  let cats = ref base.br_cats in
-  let stuck = ref base.br_stuck in
-  let gates = ref base.br_gates in
-  let crash = ref None in
-  let rterm = ref base.br_term in
-  let mdiff = ref base.br_mdiff in
-  let rdo = mk_real_harness ~outs ~slots ~cats ~stuck ~gates in
-  (* Serialization dropped every gate entry; give each surviving gate
-     back the body it was created with. *)
-  List.iter
-    (fun (g, keep) ->
-      match Kernel.obj_kind k g with
-      | Some T.Gate -> Kernel.set_gate_entry k g (gate_entry ~stuck keep)
-      | Some _ | None -> ())
-    !gates;
-  let captured = ref [] in
-  let capturing = ref capture in
-  let snap () =
-    {
-      br_handle = Kernel.fork k;
-      br_tid = tid;
-      br_outs = !outs;
-      br_slots = !slots;
-      br_cats = !cats;
-      br_stuck = !stuck;
-      br_gates = !gates;
-      br_mdiff = !mdiff;
-      br_term = !rterm;
-      br_mst = !mst;
-      br_mslots = !mslots;
-      br_mncats = !mncats;
-      br_mouts = !mouts;
-      br_mterm = !mterm;
-    }
+(* Serialize the trace's final kernel with [Kernel.fork], [resume] it,
+   and require every slot to read back identically: the object codec
+   checked on whatever states the generator reaches. *)
+let compare_resume trace =
+  let r = run_real trace in
+  let k' = Kernel.resume (Kernel.fork r.rr_k) in
+  let view k = real_view_str k r.rr_cats (slot_in r.rr_slots) in
+  let rec slots i = function
+    | [] -> None
+    | oid :: tl ->
+        let before = view r.rr_k oid and after = view k' oid in
+        if before <> after then
+          Some
+            (Printf.sprintf
+               "slot %d after resume:\n  run    : %s\n  resumed: %s" i before
+               after)
+        else slots (i + 1) tl
   in
-  let exec_real_one op =
-    let finished = ref false in
-    Kernel.restart_thread k tid (fun () ->
-        (match rdo op with
-        | () -> ()
-        | exception T.Kernel_error e ->
-            (* mirrors the replay driver's outer handler: record the
-               class, skip the rest of the trace, count as done *)
-            outs := Err (eclass e) :: !outs;
-            rterm := Some T_done
-        | exception e -> crash := Some (Printexc.to_string e));
-        finished := true);
-    let d =
-      metered (fun () ->
-          try Kernel.run k
-          with e -> crash := Some ("kernel: " ^ Printexc.to_string e))
-    in
-    mdiff := add_mdiff !mdiff d;
-    match !crash with
-    | Some m -> rterm := Some (T_crash m)
-    | None ->
-        if not !finished then
-          rterm :=
-            Some
-              (match !stuck with
-              | Some c -> T_stuck c
-              | None -> (
-                  match Kernel.thread_state k tid with
-                  | None -> T_gone
-                  | Some _ -> T_crash "driver wedged"))
-  in
-  let rec go = function
-    | [] -> ()
-    | _ :: _ when !rterm <> None && !mterm <> None -> ()
-    | op :: rest ->
-        (if !mterm = None then
-           match mdo op with
-           | () -> ()
-           | exception Stop_model t -> mterm := Some t);
-        if !rterm = None then exec_real_one op;
-        (match !rterm with
-        | Some (T_crash _) -> capturing := false
-        | Some _ | None -> ());
-        if !capturing then captured := snap () :: !captured;
-        go rest
-  in
-  go ops;
-  let term = Option.value !rterm ~default:T_done in
-  let routs = List.rev !outs in
-  let m =
-    {
-      mr_outs = List.rev !mouts;
-      mr_term = Option.value !mterm ~default:T_done;
-      mr_st = !mst;
-      mr_slots = !mslots;
-    }
-  in
-  let r =
-    {
-      rr_outs = routs;
-      rr_term = term;
-      rr_k = k;
-      rr_slots = !slots;
-      rr_cats = !cats;
-      rr_cov = cov_of ~k ~mdiff:!mdiff ~outs:routs ~term;
-    }
-  in
-  (m, r, Array.of_list (List.rev !captured))
-
-let run_pair ?weaken ?elide ?(mode = `Replay) trace =
-  match mode with
-  | `Replay ->
-      let m = run_model trace in
-      let r = run_real ?weaken ?elide trace in
-      (compare_runs m r, r.rr_cov)
-  | `Fork ->
-      let m, r, _ = exec_from (initial_branch ?weaken ?elide ()) trace in
-      (compare_runs m r, r.rr_cov)
-
-let compare_traces ?weaken ?elide ?mode trace =
-  fst (run_pair ?weaken ?elide ?mode trace)
-
-let trace_cov ?weaken ?elide ?mode trace =
-  snd (run_pair ?weaken ?elide ?mode trace)
+  slots 0 r.rr_slots
 
 (* ---------- elided-vs-naive differential ---------- *)
 
@@ -1204,22 +988,15 @@ let compare_elision trace =
       else if a.rr_cov <> b.rr_cov then
         Some "coverage signature differs between elided and naive runs"
       else begin
-        let slot_of slots oid =
-          let rec go i = function
-            | [] -> -1
-            | o :: tl -> if Int64.equal o oid then i else go (i + 1) tl
-          in
-          go 0 slots
-        in
         let rec slots i ao bo =
           match (ao, bo) with
           | [], [] -> None
           | aoid :: at, boid :: bt ->
               let av =
-                real_view_str a.rr_k a.rr_cats (slot_of a.rr_slots) aoid
+                real_view_str a.rr_k a.rr_cats (slot_in a.rr_slots) aoid
               in
               let bv =
-                real_view_str b.rr_k b.rr_cats (slot_of b.rr_slots) boid
+                real_view_str b.rr_k b.rr_cats (slot_in b.rr_slots) boid
               in
               if av <> bv then
                 Some
@@ -1542,26 +1319,12 @@ let mutate rng t =
         let a = Rng.int rng (n + 1) in
         take a t @ fresh @ drop a t
 
-(* A corpus entry in fork mode remembers a branch per op boundary, so
-   a mutant resumes from its longest common prefix with its parent
-   (the mutation point) instead of replaying it. Replay-mode entries
-   carry no branches. *)
-type centry = { ce_trace : op list; ce_branches : branch array }
-
-let common_prefix a b =
-  let rec go n a b =
-    match (a, b) with
-    | x :: a', y :: b' when x = y -> go (n + 1) a' b'
-    | _ -> n
-  in
-  go 0 a b
-
-(* The fuzz loop is a strict sequence of (decide, execute, commit)
-   iterations: decide consumes the RNG against the current corpus,
-   execute is a pure differential check of the decided trace, commit
-   folds the verdict back into the loop state (result / seen / corpus). *)
+(* Each iteration decides a trace (consuming the RNG against the
+   current corpus), runs it on both sides, and either reports the shrunk
+   divergence or admits the trace to the corpus if its coverage
+   signature is new. *)
 let run_fuzz ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
-    ?(mode = `Fork) ?(seed_corpus = []) () =
+    ?(seed_corpus = []) () =
   let runs =
     match runs with
     | Some r -> r
@@ -1569,78 +1332,35 @@ let run_fuzz ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
   in
   let max_size = Option.value max_size ~default:30 in
   let rng = Rng.create (Int64.logxor seed 0x5EED_F00DL) in
-  let base =
-    match mode with
-    | `Fork -> Some (initial_branch ?weaken ?elide ())
-    | `Replay -> None
-  in
   let corpus = ref [] in
   let seen = Hashtbl.create 64 in
   let result = ref None in
   let i = ref 0 in
-  (* Decision for iteration [idx], consuming [rng] against the current
-     corpus. Seed-corpus traces run first (AFL-style): checked like any
-     other run and admitted to the corpus by coverage, so the mutation
-     engine can grow them. Empty by default, in which case RNG
-     consumption — and thus every pinned catch index — is unchanged. *)
+  (* Seed-corpus traces run first (AFL-style): checked like any other
+     run and admitted to the corpus by coverage, so the mutation engine
+     can grow them. Empty by default, in which case RNG consumption —
+     and thus every pinned catch index — is unchanged. *)
   let decide idx =
-    if idx < List.length seed_corpus then (None, List.nth seed_corpus idx)
+    if idx < List.length seed_corpus then List.nth seed_corpus idx
     else if !corpus <> [] && Rng.bool rng then
-      let e = List.nth !corpus (Rng.int rng (List.length !corpus)) in
-      (Some e, mutate rng e.ce_trace)
+      let parent = List.nth !corpus (Rng.int rng (List.length !corpus)) in
+      mutate rng parent
     else
-      ( None,
-        Gen.generate gen_trace ~seed:(Rng.next64 rng)
-          ~size:(4 + Rng.int rng max_size) )
+      Gen.generate gen_trace ~seed:(Rng.next64 rng)
+        ~size:(4 + Rng.int rng max_size)
   in
-  let execute (parent, trace) =
-    match base with
-    | None ->
-        let detail, cov = run_pair ?weaken ?elide trace in
-        (detail, cov, fun () -> { ce_trace = trace; ce_branches = [||] })
-    | Some base ->
-        (* Resume from the deepest parent branch that is still a
-           prefix of the mutant; fresh traces start from the shared
-           initial branch. *)
-        let anchor, i0 =
-          match parent with
-          | Some p when Array.length p.ce_branches > 0 ->
-              let pl = common_prefix p.ce_trace trace in
-              let i0 = min pl (Array.length p.ce_branches - 1) in
-              (p.ce_branches.(i0), i0)
-          | Some _ | None -> (base, 0)
-        in
-        let suffix = List.filteri (fun j _ -> j >= i0) trace in
-        let m, r, _ = exec_from anchor suffix in
-        let remember () =
-          (* Deterministic re-execution with per-op capture, so only
-             corpus admissions pay the fork-per-op cost. *)
-          let _, _, captured = exec_from ~capture:true anchor suffix in
-          let prefix =
-            match parent with
-            | Some p when Array.length p.ce_branches > 0 ->
-                Array.sub p.ce_branches 0 (i0 + 1)
-            | Some _ | None -> [| anchor |]
-          in
-          { ce_trace = trace; ce_branches = Array.append prefix captured }
-        in
-        (compare_runs m r, r.rr_cov, remember)
-  in
-  let commit (_, trace) (detail, cov, remember) =
-    match detail with
-    | Some d ->
+  while !result = None && !i < runs do
+    let trace = decide !i in
+    (match run_pair ?weaken ?elide trace with
+    | Some d, _ ->
         let t' = shrink ?weaken ?elide trace in
         let d' = Option.value (compare_traces ?weaken ?elide t') ~default:d in
         result := Some (t', d')
-    | None ->
+    | None, cov ->
         if not (Hashtbl.mem seen cov) then begin
           Hashtbl.add seen cov ();
-          corpus := remember () :: !corpus
-        end
-  in
-  while !result = None && !i < runs do
-    let dec = decide !i in
-    commit dec (execute dec);
+          corpus := trace :: !corpus
+        end);
     incr i
   done;
   {
@@ -1656,10 +1376,9 @@ let run_fuzz ?weaken ?elide ?runs ?max_size ?(seed = Check.seed ())
    so pass [p]'s stats are those of [run_fuzz ~seed:(split_seed seed p)]
    exactly, at every domain count. *)
 let run_fuzz_many ?domains ?weaken ?elide ?runs ?max_size
-    ?(seed = Check.seed ()) ?(mode = `Fork) ~passes () =
+    ?(seed = Check.seed ()) ~passes () =
   Par.run ?domains passes (fun p ->
-      run_fuzz ?weaken ?elide ?runs ?max_size ~seed:(Par.split_seed seed p)
-        ~mode ())
+      run_fuzz ?weaken ?elide ?runs ?max_size ~seed:(Par.split_seed seed p) ())
   |> Array.to_list
 
 (* Pure random sweep of the elided-vs-naive differential: no corpus

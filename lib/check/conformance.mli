@@ -17,13 +17,24 @@
     sequential ints) and kernel object ids (pseudorandom cipher
     outputs) out of the comparison.
 
+    Every trace runs whole, from a fresh kernel and a fresh model
+    state, in one scheduler run. Traces are short (at most a few dozen
+    ops), so re-running one from scratch costs less than forking a
+    kernel at each op boundary would (EXPERIMENTS.md, "Branchable
+    kernel states").
+
     The fuzz loop is coverage-guided: each run's signature is the set
     of {!Histar_metrics.Metrics} registry deltas and kernel
     {!Histar_core.Profile} counts, log2-bucketed; traces producing a
     new signature join the corpus and are preferred for mutation
     (span deletion/duplication/swap, op splices). Any divergence is
     shrunk to a minimal trace by greedy chunk removal and reported
-    with the [HISTAR_CHECK_SEED] line that replays it. *)
+    with the [HISTAR_CHECK_SEED] line that replays it.
+
+    {!compare_resume} checks the kernel's object codec on the same
+    traces: a trace's final kernel must survive
+    {!Histar_core.Kernel.fork} and {!Histar_core.Kernel.resume} slot
+    for slot. *)
 
 module Kernel = Histar_core.Kernel
 module Model = Histar_model.Model
@@ -110,34 +121,25 @@ type term =
 val pp_op : op -> string
 val pp_trace : op list -> string
 
-type exec_mode = [ `Fork | `Replay ]
-(** How a trace pair is executed. [`Replay] (the historical path)
-    builds a fresh kernel and runs the whole trace in one scheduler
-    run. [`Fork] goes through the branchable-kernel machinery: the
-    trace starts from (or, in the fuzz loop, resumes mid-trace at) an
-    immutable {!Histar_core.Kernel.fork} snapshot and runs one op per
-    scheduler run, with per-op metric windows summed. Both modes
-    produce bit-identical outcomes, termination, and coverage
-    signatures — the double-run discipline the equivalence tests in
-    [test_model.ml] pin down. *)
-
 val compare_traces :
-  ?weaken:Kernel.weaken ->
-  ?elide:bool ->
-  ?mode:exec_mode ->
-  op list ->
-  string option
-(** Run both sides; [Some detail] describes the first divergence
-    (per-op outcome, termination, or final-state), [None] if the
-    kernel conforms on this trace. [mode] defaults to [`Replay]. *)
+  ?weaken:Kernel.weaken -> ?elide:bool -> op list -> string option
+(** Run the whole trace on a fresh model state and on a fresh kernel;
+    [Some detail] describes the first divergence (per-op outcome,
+    termination, or final-state), [None] if the kernel conforms on
+    this trace. *)
 
-val trace_cov :
-  ?weaken:Kernel.weaken -> ?elide:bool -> ?mode:exec_mode -> op list -> int
-(** The trace's coverage signature (what guides the fuzz corpus), for
-    asserting fork/replay bit-identity. Signatures are
-    elision-normalized: [label.elided] folds back into [label.checks]
-    and [label.summary_invalidations] is dropped, so the same trace
-    yields the same signature with elision on and off. *)
+val trace_cov : ?weaken:Kernel.weaken -> ?elide:bool -> op list -> int
+(** The trace's coverage signature (what guides the fuzz corpus).
+    Signatures are elision-normalized: [label.elided] folds back into
+    [label.checks] and [label.summary_invalidations] is dropped, so the
+    same trace yields the same signature with elision on and off. *)
+
+val compare_resume : op list -> string option
+(** The fork/resume round trip: run the trace on the real kernel, then
+    {!Histar_core.Kernel.fork} the final kernel and
+    {!Histar_core.Kernel.resume} it, and require every slot's final
+    state to read back identically. [Some detail] names the first slot
+    whose state the object codec did not preserve. *)
 
 val compare_elision : op list -> string option
 (** The elided-vs-naive differential: run the trace on a kernel with
@@ -169,7 +171,6 @@ val run_fuzz :
   ?runs:int ->
   ?max_size:int ->
   ?seed:int64 ->
-  ?mode:exec_mode ->
   ?seed_corpus:op list list ->
   unit ->
   fuzz_stats
@@ -181,15 +182,11 @@ val run_fuzz :
     consumption bit-identical, so pinned catch indices are unaffected.
 
     Defaults: [runs] 400 (×8 when
-    [HISTAR_CHECK_LONG=1]), [max_size] 30, [seed] {!Check.seed}[()],
-    [mode] [`Fork]. In fork mode each corpus entry keeps a branch
-    (kernel fork + model value) per op boundary and mutants resume
-    from their longest common prefix with the parent instead of
-    replaying it; verdicts, corpus evolution and reports are
-    bit-identical to [`Replay] at the same seed. Shrinking is always
-    replay-based (the reported repro line needs no branch state).
-    Stops at the first divergence (after shrinking it). Runs on the
-    calling domain; {!run_fuzz_many} is the parallel entry point. *)
+    [HISTAR_CHECK_LONG=1]), [max_size] 30, [seed] {!Check.seed}[()].
+    Every trace, generated or mutated, runs from scratch as in
+    {!compare_traces}. Stops at the first divergence (after shrinking
+    it). Runs on the calling domain; {!run_fuzz_many} is the parallel
+    entry point. *)
 
 val run_fuzz_many :
   ?domains:int ->
@@ -198,7 +195,6 @@ val run_fuzz_many :
   ?runs:int ->
   ?max_size:int ->
   ?seed:int64 ->
-  ?mode:exec_mode ->
   passes:int ->
   unit ->
   fuzz_stats list

@@ -73,14 +73,11 @@ type gate_entry =
           clobber the outer one) *)
   | Entry_dead  (** recovered from disk: code is gone *)
 
-type gate = { gclear : Label.t; mutable gentry : gate_entry; gonce : bool }
-(* [gentry] is mutable only so harnesses can re-arm an [Entry_dead]
-   gate after resuming a forked/recovered state (see [set_gate_entry]);
-   the kernel itself never reassigns it. [gonce] marks a one-shot
-   service gate: reaped from its naming container after the first
-   successful invocation, exactly like the return gates [gate_call]
-   mints — the kernel primitive beneath scoped label excursions
-   (lib/lio's [to_labeled]/[catch]). *)
+type gate = { gclear : Label.t; gentry : gate_entry; gonce : bool }
+(* [gonce] marks a one-shot service gate: reaped from its naming
+   container after the first successful invocation, exactly like the
+   return gates [gate_call] mints — the kernel primitive beneath scoped
+   label excursions (lib/lio's [to_labeled]/[catch]). *)
 type address_space = { mutable mappings : mapping list }
 
 type device = {
@@ -1656,9 +1653,6 @@ let blocked_count k =
 
 let object_count k = Hashtbl.length k.objects
 
-let label_cache_stats k =
-  (Label_cache.hits k.label_cache, Label_cache.misses k.label_cache)
-
 let elide_enabled k = k.elide
 let label_epoch k = k.label_epoch
 let gate_summary_count k = Hashtbl.length k.gate_summaries
@@ -1947,8 +1941,8 @@ let recover ~store =
    the structural-sharing property the btree.node_allocs counter
    asserts. Continuations are not serializable (the same departure from
    the paper as [recover]), so a resumed branch comes back with all
-   threads halted and code-carrying gates dead; harnesses re-arm them
-   with [restart_thread] and [set_gate_entry]. *)
+   threads halted and code-carrying gates dead; harnesses restart
+   threads with [restart_thread]. *)
 type handle = {
   h_objects : string Bptree.t;
   h_root : oid;
@@ -2074,15 +2068,3 @@ let restart_thread k tid entry =
       th.parked <- None;
       enqueue k tid
   | Some _ | None -> invalid_arg "Kernel.restart_thread: no such thread"
-
-(* Re-arm a gate whose entry decoded as [Entry_dead]. Refuses to
-   clobber a live entry: branch resumption only replaces what
-   serialization lost. *)
-let set_gate_entry k gate_oid entry =
-  match find_obj k gate_oid with
-  | Some { body = Gat g; _ } -> (
-      match g.gentry with
-      | Entry_dead -> g.gentry <- Entry_fn entry
-      | Entry_fn _ | Entry_resume _ ->
-          invalid_arg "Kernel.set_gate_entry: gate entry still live")
-  | Some _ | None -> invalid_arg "Kernel.set_gate_entry: no such gate"

@@ -149,8 +149,7 @@ val recover : store:Histar_store.Store.t -> t
     number of independent kernels from it, in any order. Like
     {!recover}, a resumed branch has all threads halted and
     code-carrying gates dead (continuations are not serializable);
-    harnesses re-arm them with {!restart_thread} and
-    {!set_gate_entry}. *)
+    harnesses restart threads with {!restart_thread}. *)
 
 type handle
 (** An immutable, branchable whole-kernel version. *)
@@ -170,17 +169,9 @@ val restart_thread : t -> oid -> (unit -> unit) -> unit
     oid, same TLS segment, no generator state consumed, re-enqueued as
     ready. Raises [Invalid_argument] if the oid is not a thread. *)
 
-val set_gate_entry : t -> oid -> (unit -> unit) -> unit
-(** Re-arm a gate whose entry was lost to serialization ([Entry_dead]).
-    Raises [Invalid_argument] if the oid is not a gate or its entry is
-    still live. *)
-
 (** {1 Introspection (host/test interface, not subject to labels)} *)
 
 val object_count : t -> int
-
-(** (hits, misses) of the §4 label-comparison cache. *)
-val label_cache_stats : t -> int * int
 
 val elide_enabled : t -> bool
 

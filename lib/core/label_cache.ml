@@ -24,8 +24,6 @@ type t = {
   elide : bool;
   observe_tbl : (key, bool) Hashtbl.t;
   modify_tbl : (key, bool) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
 }
 
 let create ?(bound = 8192) ?(elide = true) () =
@@ -34,20 +32,16 @@ let create ?(bound = 8192) ?(elide = true) () =
     elide;
     observe_tbl = Hashtbl.create 256;
     modify_tbl = Hashtbl.create 256;
-    hits = 0;
-    misses = 0;
   }
 
 let lookup t tbl key compute =
   let v =
     match Hashtbl.find_opt tbl key with
     | Some v ->
-        t.hits <- t.hits + 1;
         Metrics.Counter.incr m_cache_hits;
         Metrics.Counter.incr (if t.elide then m_elided else m_checks);
         v
     | None ->
-        t.misses <- t.misses + 1;
         Metrics.Counter.incr m_cache_misses;
         Metrics.Counter.incr m_checks;
         let v = compute () in
@@ -79,20 +73,15 @@ let observe t ~thread ~obj =
 let modify t ~thread ~obj =
   lookup t t.modify_tbl (thread, obj) (fun () -> Label.can_modify ~thread ~obj)
 
-let hits t = t.hits
-let misses t = t.misses
 let elide_enabled t = t.elide
 
-(* An independent cache with identical contents and statistics, so a
-   forked kernel's hit/miss behaviour is bit-identical to the trunk's
-   at the branch point (same cached entries, same reset threshold
-   fill). *)
+(* An independent cache with identical contents, so a forked kernel's
+   hit/miss behaviour is bit-identical to the trunk's at the branch
+   point (same cached entries, same reset threshold fill). *)
 let copy t =
   {
     bound = t.bound;
     elide = t.elide;
     observe_tbl = Hashtbl.copy t.observe_tbl;
     modify_tbl = Hashtbl.copy t.modify_tbl;
-    hits = t.hits;
-    misses = t.misses;
   }

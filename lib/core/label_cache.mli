@@ -17,6 +17,9 @@
     With elision disabled ([~elide:false]), hits count as
     [label.checks] as before, so [label.checks = label.cache_hits +
     label.cache_misses] on cache-only workloads. [label.denied] is identical either way.
+    Hits and misses are counted only in [label.cache_hits] /
+    [label.cache_misses]; read them through a
+    {!Histar_metrics.Metrics} window.
 
     This cache and the kernel's per-gate flow summaries are the only
     label-decision caches: {!Histar_label.Label}'s lattice operations
@@ -37,13 +40,10 @@ val observe : t -> thread:Histar_label.Label.t -> obj:Histar_label.Label.t -> bo
 val modify : t -> thread:Histar_label.Label.t -> obj:Histar_label.Label.t -> bool
 (** Memoized {!Histar_label.Label.can_modify}. *)
 
-val hits : t -> int
-val misses : t -> int
-
 val copy : t -> t
-(** An independent cache with identical contents and statistics, so a
-    forked kernel's future hit/miss behaviour matches the trunk's at
-    the branch point exactly. *)
+(** An independent cache with identical contents, so a forked kernel's
+    future hit/miss behaviour matches the trunk's at the branch point
+    exactly. *)
 
 val count_uncached_check : allowed:bool -> unit
 (** Report a label comparison performed outside the cache (gate

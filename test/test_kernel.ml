@@ -908,53 +908,48 @@ let print_label_pairs ps =
 let prop_label_cache_differential pairs =
   let run_mode ~elide =
     let cache = Label_cache.create ~bound:8 ~elide () in
-    let checks0 = Metrics.counter_value "label.checks" in
-    let elided0 = Metrics.counter_value "label.elided" in
-    let denied0 = Metrics.counter_value "label.denied" in
     let denials = ref 0 in
-    List.iter
-      (fun (t, o) ->
-        let want_obs = Label.can_observe ~thread:t ~obj:o in
-        let want_mod = Label.can_modify ~thread:t ~obj:o in
-        for _ = 1 to 2 do
-          Check.ensure ~msg:"cached observe differs from Label.can_observe"
-            (Label_cache.observe cache ~thread:t ~obj:o = want_obs);
-          Check.ensure ~msg:"cached modify differs from Label.can_modify"
-            (Label_cache.modify cache ~thread:t ~obj:o = want_mod);
-          if not want_obs then incr denials;
-          if not want_mod then incr denials
-        done)
-      pairs;
-    ( Metrics.counter_value "label.checks" - checks0,
-      Metrics.counter_value "label.elided" - elided0,
-      Metrics.counter_value "label.denied" - denied0,
+    let d =
+      Metrics.with_enabled true (fun () ->
+          let before = Metrics.snapshot_local () in
+          List.iter
+            (fun (t, o) ->
+              let want_obs = Label.can_observe ~thread:t ~obj:o in
+              let want_mod = Label.can_modify ~thread:t ~obj:o in
+              for _ = 1 to 2 do
+                Check.ensure
+                  ~msg:"cached observe differs from Label.can_observe"
+                  (Label_cache.observe cache ~thread:t ~obj:o = want_obs);
+                Check.ensure ~msg:"cached modify differs from Label.can_modify"
+                  (Label_cache.modify cache ~thread:t ~obj:o = want_mod);
+                if not want_obs then incr denials;
+                if not want_mod then incr denials
+              done)
+            pairs;
+          Metrics.diff ~before ~after:(Metrics.snapshot_local ()))
+    in
+    let v = Metrics.value_in d in
+    ( v "label.checks",
+      v "label.elided",
+      v "label.denied",
       !denials,
-      Label_cache.hits cache,
-      Label_cache.misses cache )
+      v "label.cache_hits",
+      v "label.cache_misses" )
   in
-  let was = Metrics.enabled () in
-  Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () -> Metrics.set_enabled was)
-    (fun () ->
-      let lookups = 4 * List.length pairs in
-      let checks, elided, denied, denials, _, _ = run_mode ~elide:false in
-      Check.ensure ~msg:"no-elide: label.checks missed lookups"
-        (checks = lookups);
-      Check.ensure ~msg:"no-elide: label.elided must stay zero" (elided = 0);
-      Check.ensure ~msg:"no-elide: label.denied missed denials"
-        (denied = denials);
-      let checks, elided, denied, denials, hits, misses =
-        run_mode ~elide:true
-      in
-      Check.ensure ~msg:"elide: checks + elided must cover every lookup"
-        (checks + elided = lookups);
-      Check.ensure ~msg:"elide: label.checks must equal cache misses"
-        (checks = misses);
-      Check.ensure ~msg:"elide: label.elided must equal cache hits"
-        (elided = hits);
-      Check.ensure ~msg:"elide: label.denied missed denials"
-        (denied = denials))
+  let lookups = 4 * List.length pairs in
+  let checks, elided, denied, denials, hits, misses = run_mode ~elide:false in
+  Check.ensure ~msg:"no-elide: label.checks missed lookups" (checks = lookups);
+  Check.ensure ~msg:"no-elide: label.elided must stay zero" (elided = 0);
+  Check.ensure ~msg:"no-elide: label.denied missed denials" (denied = denials);
+  Check.ensure ~msg:"no-elide: hits + misses must cover every lookup"
+    (hits + misses = lookups);
+  let checks, elided, denied, denials, hits, misses = run_mode ~elide:true in
+  Check.ensure ~msg:"elide: checks + elided must cover every lookup"
+    (checks + elided = lookups);
+  Check.ensure ~msg:"elide: label.checks must equal cache misses"
+    (checks = misses);
+  Check.ensure ~msg:"elide: label.elided must equal cache hits" (elided = hits);
+  Check.ensure ~msg:"elide: label.denied missed denials" (denied = denials)
 
 (* After a thread picks up ownership of c through a gate, the same
    (thread, object) comparison must flip from denied to allowed — the
@@ -1381,11 +1376,8 @@ let test_fork_resume_reruns_deterministically () =
 
 let test_restart_thread_rejects_non_thread () =
   let k = Kernel.create () in
-  (match Kernel.restart_thread k (Kernel.root k) (fun () -> ()) with
+  match Kernel.restart_thread k (Kernel.root k) (fun () -> ()) with
   | () -> Alcotest.fail "restarted a container"
-  | exception Invalid_argument _ -> ());
-  match Kernel.set_gate_entry k (Kernel.root k) (fun () -> ()) with
-  | () -> Alcotest.fail "re-armed a container"
   | exception Invalid_argument _ -> ()
 
 let () =
@@ -1521,7 +1513,7 @@ let () =
             test_fork_resume_isolated;
           Alcotest.test_case "resume is deterministic" `Quick
             test_fork_resume_reruns_deterministically;
-          Alcotest.test_case "restart/set_gate_entry guards" `Quick
+          Alcotest.test_case "restart_thread guard" `Quick
             test_restart_thread_rejects_non_thread;
         ] );
     ]

@@ -323,20 +323,10 @@ let prop_quota_conformance trace =
 let l1s = { Conf.ls_def = 2; ls_ents = [] }
 let near_max = Int64.sub Int64.max_int 100L
 
-(* Each regression trace is checked in both execution modes: the
-   historical whole-trace replay and the fork-based per-op path the
-   fuzz corpus now runs on. The verdicts must agree — and be clean. *)
 let regression name trace () =
-  List.iter
-    (fun mode ->
-      match Conf.compare_traces ~mode trace with
-      | None -> ()
-      | Some detail ->
-          Alcotest.fail
-            (Printf.sprintf "%s regressed (%s mode): %s" name
-               (match mode with `Fork -> "fork" | `Replay -> "replay")
-               detail))
-    [ `Replay; `Fork ]
+  match Conf.compare_traces trace with
+  | None -> ()
+  | Some detail -> Alcotest.fail (Printf.sprintf "%s regressed: %s" name detail)
 
 let trace_charge_overflow =
   (* Finite-container admission check used [usage + amount > quota],
@@ -415,53 +405,27 @@ let regress_negative_cas_offset =
 
 let regress_one_shot_gate = regression "one-shot gate reaped" trace_one_shot_gate
 
-(* ---------- fork-based corpus: the double-run discipline ----------
+(* ---------- fork/resume round trip ----------
 
-   The fuzz loop now runs on branchable kernel states (each corpus
-   entry keeps a [Kernel.fork] per op boundary; mutants resume from
-   the longest common prefix instead of replaying it). The discipline
-   that keeps the repro lines honest: at a pinned seed, the fork path
-   must be bit-identical to the replay path — same coverage
-   signatures, same corpus evolution, same divergences, same shrunk
-   witness, same report. *)
+   [Kernel.fork] serializes every object and [Kernel.resume] decodes
+   it again; the final state of each regression trace and of generated
+   traces at the pinned seed must survive the round trip slot for
+   slot. *)
 
-let test_regression_traces_cov_identical () =
+let prop_resume_round_trip trace =
+  match Conf.compare_resume trace with
+  | None -> ()
+  | Some d -> Check.ensure ~msg:("state changed across fork/resume: " ^ d) false
+
+let test_regression_traces_resume () =
   List.iter
     (fun (name, trace) ->
-      Alcotest.(check int)
-        (name ^ ": coverage signature identical")
-        (Conf.trace_cov ~mode:`Replay trace)
-        (Conf.trace_cov ~mode:`Fork trace))
+      match Conf.compare_resume trace with
+      | None -> ()
+      | Some d ->
+          Alcotest.fail
+            (Printf.sprintf "%s: state changed across fork/resume: %s" name d))
     regression_traces
-
-let test_fuzz_fork_replay_clean_identical () =
-  let run mode =
-    Conf.run_fuzz ~runs:300 ~seed:Check.default_seed ~mode ()
-  in
-  let f = run `Fork and r = run `Replay in
-  Alcotest.(check string) "clean-kernel reports identical" (Conf.report r)
-    (Conf.report f);
-  Alcotest.(check int) "same corpus size" r.Conf.fs_corpus f.Conf.fs_corpus;
-  Alcotest.(check int) "same run count" r.Conf.fs_runs f.Conf.fs_runs
-
-let test_fuzz_fork_replay_mutant_identical () =
-  (* A weakened kernel must be caught at the same run, shrunk to the
-     same witness, and reported with the same replay line, whichever
-     executor the corpus ran on. *)
-  let run mode =
-    Conf.run_fuzz ~weaken:Kernel.Weaken_gate_star_grant ~runs:200
-      ~seed:Check.default_seed ~mode ()
-  in
-  let f = run `Fork and r = run `Replay in
-  Alcotest.(check string) "mutant reports identical" (Conf.report r)
-    (Conf.report f);
-  match (f.Conf.fs_divergence, r.Conf.fs_divergence) with
-  | Some (tf, df), Some (tr, dr) ->
-      Alcotest.(check string) "same divergence detail" dr df;
-      Alcotest.(check string) "same shrunk witness" (Conf.pp_trace tr)
-        (Conf.pp_trace tf)
-  | None, _ -> Alcotest.fail "fork-mode fuzz missed the gate mutant"
-  | _, None -> Alcotest.fail "replay-mode fuzz missed the gate mutant"
 
 (* ---------- label-check elision: elided vs naive ----------
 
@@ -669,13 +633,12 @@ let () =
           Alcotest.test_case "one-shot gate reaped" `Quick
             regress_one_shot_gate;
         ] );
-      ( "fork corpus",
+      ( "resume round trip",
         [
-          Alcotest.test_case "regression coverage fork == replay" `Quick
-            test_regression_traces_cov_identical;
-          Alcotest.test_case "clean-kernel fuzz reports identical" `Quick
-            test_fuzz_fork_replay_clean_identical;
-          Alcotest.test_case "mutant shrink lines identical" `Quick
-            test_fuzz_fork_replay_mutant_identical;
+          Alcotest.test_case "regression traces survive fork/resume" `Quick
+            test_regression_traces_resume;
+          Check.test_case ~count:200 ~print:Conf.pp_trace
+            "generated states survive fork/resume" Conf.gen_trace
+            prop_resume_round_trip;
         ] );
     ]
