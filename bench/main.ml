@@ -28,6 +28,7 @@ let experiments =
     ("t-codesize", "code-size inventory (§4.1)", Tables.codesize);
     ("ablation", "design-choice ablations (log batching, label width)", Ablation.run);
     ("sec-attacks", "§1 leak-vector matrix vs Unix", Tables.attacks);
+    ("scaling", "wall time of wget and file appends, 1-16 MB", Scaling.run);
   ]
 
 let aliases =

@@ -22,6 +22,10 @@ let m_label_errors = Metrics.counter "kernel.syscall_label_errors"
    objects, and for a range flush just the segment header and range. *)
 let m_bytes_encoded = Metrics.counter "kernel.bytes_encoded"
 
+(* Segment bytes the kernel moves in memory: read/write/copy blits and
+   the reallocations of a resize past (or far below) capacity. *)
+let m_bytes_copied = Metrics.counter "kernel.bytes_copied"
+
 let infinite_quota = Int64.max_int
 let base_overhead = 512L
 (* kernel-meta record key in the store; outside the 61-bit oid space *)
@@ -46,7 +50,12 @@ type wait_reason =
 
 (* ---------- kernel objects ---------- *)
 
-type segment = { mutable data : Bytes.t }
+(* A segment's logical contents are [data[0, len)]; [data] is backing
+   capacity. Invariant: every byte of [data[len, Bytes.length data)] is
+   zero, so a grow within capacity copies nothing and reads zeros. *)
+type segment = { mutable data : Bytes.t; mutable len : int }
+
+let new_segment len = { data = Bytes.make len '\000'; len }
 
 type container = {
   children : (oid, kind) Hashtbl.t;
@@ -304,7 +313,7 @@ let as_container ~op o =
 (* ---------- quotas ---------- *)
 
 let usage_of_body = function
-  | Seg s -> Int64.add base_overhead (Int64.of_int (Bytes.length s.data))
+  | Seg s -> Int64.add base_overhead (Int64.of_int s.len)
   | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> base_overhead
 
 let quota_avail o =
@@ -356,13 +365,13 @@ let encode_fields e o =
 let encode_obj o =
   let size =
     match o.body with
-    | Seg s -> Bytes.length s.data + 256
+    | Seg s -> s.len + 256
     | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> 256
   in
   let e = Codec.Enc.create ~size () in
   encode_fields e o;
   (match o.body with
-  | Seg s -> Codec.Enc.bytes e s.data
+  | Seg s -> Codec.Enc.sub_bytes e s.data ~len:s.len
   | Con c ->
       Codec.Enc.u32 e c.avoid;
       Codec.Enc.i64 e c.parent;
@@ -396,10 +405,10 @@ let encode_obj o =
 
 (* A segment's encoding up to and including its data-length prefix:
    [encode_obj o] is this followed by the data. *)
-let segment_header o data =
+let segment_header o (s : segment) =
   let e = Codec.Enc.create () in
   encode_fields e o;
-  Codec.Enc.u32 e (Bytes.length data);
+  Codec.Enc.u32 e s.len;
   Codec.Enc.to_string e
 
 (* Stage an object in the store, telling it where a segment's data
@@ -408,7 +417,7 @@ let store_put st o =
   let payload = encode_obj o in
   let header_len =
     match o.body with
-    | Seg s -> Some (String.length payload - Bytes.length s.data)
+    | Seg s -> Some (String.length payload - s.len)
     | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> None
   in
   Store.put st ~oid:o.id ?header_len payload
@@ -436,7 +445,9 @@ let decode_obj payload =
   let refs = Codec.Dec.u32 d in
   let body =
     match kind with
-    | Segment -> Seg { data = Bytes.of_string (Codec.Dec.str d) }
+    | Segment ->
+        let data = Bytes.of_string (Codec.Dec.str d) in
+        Seg { data; len = Bytes.length data }
     | Container ->
         let avoid = Codec.Dec.u32 d in
         let parent = Codec.Dec.i64 d in
@@ -665,9 +676,9 @@ type action =
 
 let ok_resp r = Ok (A_resp r)
 
-let read_i64_at data off =
-  if off < 0 || off + 8 > Bytes.length data then None
-  else Some (Bytes.get_int64_le data off)
+let read_i64_at s off =
+  if off < 0 || off + 8 > s.len then None
+  else Some (Bytes.get_int64_le s.data off)
 
 let segment_read_impl k (ce : centry) off len =
   let* o, kind_ = resolve_segment k ~op:"segment_read" ce in
@@ -680,11 +691,14 @@ let segment_read_impl k (ce : centry) off len =
   in
   match o.body with
   | Seg s ->
-      let n = Bytes.length s.data in
+      let n = s.len in
       let len = if len < 0 then n - off else len in
       if off < 0 || len < 0 || off + len > n then
         invalid_f "segment_read: range [%d,%d) outside length %d" off (off + len) n
-      else ok_resp (R_bytes (Bytes.sub_string s.data off len))
+      else begin
+        Metrics.Counter.add m_bytes_copied len;
+        ok_resp (R_bytes (Bytes.sub_string s.data off len))
+      end
   | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> assert false
 
 let segment_write_impl k (ce : centry) off data =
@@ -694,15 +708,35 @@ let segment_write_impl k (ce : centry) off data =
   in
   match o.body with
   | Seg s ->
-      let n = Bytes.length s.data in
+      let n = s.len in
       if off < 0 || off + String.length data > n then
         invalid_f "segment_write: range [%d,%d) outside length %d" off
           (off + String.length data) n
       else begin
+        Metrics.Counter.add m_bytes_copied (String.length data);
         Bytes.blit_string data 0 s.data off (String.length data);
         ok_resp R_unit
       end
   | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> assert false
+
+(* Grow past capacity: double it. Shrink: zero the dropped tail (the
+   capacity invariant), or, below half the capacity, reallocate to fit
+   so a shrunk segment does not pin its old peak. Anything else is a
+   length change only. *)
+let resize_segment s len =
+  let cap = Bytes.length s.data in
+  if len > cap then begin
+    let fresh = Bytes.make (max len (2 * cap)) '\000' in
+    Bytes.blit s.data 0 fresh 0 s.len;
+    Metrics.Counter.add m_bytes_copied s.len;
+    s.data <- fresh
+  end
+  else if len < cap / 2 then begin
+    s.data <- Bytes.sub s.data 0 len;
+    Metrics.Counter.add m_bytes_copied len
+  end
+  else if len < s.len then Bytes.fill s.data len (s.len - len) '\000';
+  s.len <- len
 
 let segment_resize_impl k (ce : centry) len =
   let* o, kind_ = resolve_segment k ~op:"segment_resize" ce in
@@ -719,10 +753,7 @@ let segment_resize_impl k (ce : centry) len =
           && Int64.compare new_usage o.quota > 0
         then quota_f "segment_resize: length %d exceeds quota %Ld" len o.quota
         else begin
-          let old = s.data in
-          let fresh = Bytes.make len '\000' in
-          Bytes.blit old 0 fresh 0 (min (Bytes.length old) len);
-          s.data <- fresh;
+          resize_segment s len;
           o.usage <- new_usage;
           ok_resp R_unit
         end
@@ -745,7 +776,7 @@ let mk_tls k =
       immut = false;
       metadata = "";
       refs = 1;
-      body = Seg { data = Bytes.make 4096 '\000' };
+      body = Seg (new_segment 4096);
     }
   in
   Hashtbl.replace k.objects id o;
@@ -1251,7 +1282,7 @@ let handle_syscall k kont req : action =
     | Segment_create (spec, len) ->
         if len < 0 then invalid_f "segment_create: negative length"
         else
-          let body = Seg { data = Bytes.make len '\000' } in
+          let body = Seg (new_segment len) in
           let* o = create_object k ~spec ~kind:Segment ~clearance_check:false ~body in
           ok_resp (R_oid o.id)
     | Segment_read (ce, off, len) -> segment_read_impl k ce off len
@@ -1265,7 +1296,7 @@ let handle_syscall k kont req : action =
           | `Plain -> check_observe k ~op:"segment_get_size" o
         in
         (match o.body with
-        | Seg s -> ok_resp (R_int (Int64.of_int (Bytes.length s.data)))
+        | Seg s -> ok_resp (R_int (Int64.of_int s.len))
         | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> assert false)
     | Segment_copy (src, spec) ->
         let* o, kind_ = resolve_segment k ~op:"segment_copy" src in
@@ -1276,7 +1307,8 @@ let handle_syscall k kont req : action =
         in
         (match o.body with
         | Seg s ->
-            let body = Seg { data = Bytes.copy s.data } in
+            Metrics.Counter.add m_bytes_copied s.len;
+            let body = Seg { data = Bytes.sub s.data 0 s.len; len = s.len } in
             let* o' = create_object k ~spec ~kind:Segment ~clearance_check:false ~body in
             ok_resp (R_oid o'.id)
         | Con _ | Thr _ | Gat _ | Asp _ | Dev _ -> assert false)
@@ -1344,7 +1376,7 @@ let handle_syscall k kont req : action =
         in
         (match o.body with
         | Seg s -> (
-            match read_i64_at s.data off with
+            match read_i64_at s off with
             | None -> invalid_f "futex_wait: offset out of range"
             | Some v ->
                 if Int64.equal v expected then begin
@@ -1399,7 +1431,7 @@ let handle_syscall k kont req : action =
         in
         (match o.body with
         | Seg s -> (
-            match read_i64_at s.data off with
+            match read_i64_at s off with
             | None -> invalid_f "segment_cas: offset out of range"
             | Some v ->
                 if Int64.equal v expected then begin
@@ -1444,8 +1476,8 @@ let handle_syscall k kont req : action =
         | Some s, Seg seg ->
             (* Only the header and the range are encoded: the store
                patches them into its cached home image. *)
-            let header = segment_header o seg.data in
-            let n = Bytes.length seg.data in
+            let header = segment_header o seg in
+            let n = seg.len in
             let lo = min n (max 0 off) in
             Metrics.Counter.add m_bytes_encoded
               (String.length header + min n (lo + max 0 len) - lo);
@@ -1453,7 +1485,10 @@ let handle_syscall k kont req : action =
                checkpointed home location, so the counters already cover
                its id; only the log fallback can make a new object
                durable and must carry the metadata record with it. *)
-            if not (Store.sync_range s ~oid:o.id ~header ~body:seg.data ~off ~len)
+            if
+              not
+                (Store.sync_range s ~oid:o.id ~header ~body:seg.data
+                   ~body_len:n ~off ~len)
             then begin
               Store.put s ~oid:meta_oid (meta_record k);
               Store.sync_oid s ~oid:meta_oid
@@ -1668,7 +1703,7 @@ let container_children k oid =
 
 let segment_data k oid =
   match find_obj k oid with
-  | Some { body = Seg s; _ } -> Some (Bytes.to_string s.data)
+  | Some { body = Seg s; _ } -> Some (Bytes.sub_string s.data 0 s.len)
   | Some _ | None -> None
 
 let thread_state k oid =

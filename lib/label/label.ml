@@ -33,13 +33,19 @@ let next_uid = ref 0
    labels get the same heap object — which is what keeps [equal]'s
    pointer test sound under parallelism. Uids are process-local and
    never serialized, so their (interleaving-dependent) numbering is
-   invisible to every output. *)
+   invisible to every output. Acquisitions are counted in
+   [label.lock_acquires]. *)
 let intern_mu = Mutex.create ()
+let m_lock_acquires = Histar_metrics.Metrics.counter "label.lock_acquires"
+
+let lock_intern () =
+  Mutex.lock intern_mu;
+  Histar_metrics.Metrics.Counter.incr m_lock_acquires
 
 (* The uid is only consumed when the candidate is actually inserted;
    re-interning an existing label allocates nothing persistent. *)
 let intern ~default ~entries =
-  Mutex.lock intern_mu;
+  lock_intern ();
   let candidate = { uid = !next_uid; default; entries } in
   let v = Intern.merge intern_tbl candidate in
   if v == candidate then incr next_uid;
@@ -47,7 +53,7 @@ let intern ~default ~entries =
   v
 
 let interned_count () =
-  Mutex.lock intern_mu;
+  lock_intern ();
   let n = !next_uid in
   Mutex.unlock intern_mu;
   n

@@ -10,6 +10,10 @@ let m_rto_timeouts = Metrics.counter "net.rto_timeouts"
 let m_rto_giveups = Metrics.counter "net.rto_giveups"
 let m_fcs_drops = Metrics.counter "net.frames_fcs_dropped"
 
+(* Payload bytes the stack copies in memory: segment extraction from
+   the send queue, send-queue compaction, and [recv]. *)
+let m_bytes_copied = Metrics.counter "net.bytes_copied"
+
 let mss = 1460
 let window_bytes = 65_535
 
@@ -36,8 +40,13 @@ type conn = {
   mutable snd_nxt : int;  (** next sequence number to send *)
   mutable snd_una : int;  (** oldest unacknowledged *)
   mutable rcv_nxt : int;
-  txq : Buffer.t;  (** bytes not yet segmented *)
-  mutable inflight : (int * string) list;  (** (seq, payload), oldest first *)
+  txq : Buffer.t;
+      (** send queue: [txq[tx_off, length)] is not yet segmented; the
+          consumed prefix is dropped when the queue drains, or compacted
+          away once it passes half the buffer *)
+  mutable tx_off : int;
+  inflight : (int * string) Queue.t;  (** (seq, payload), oldest first *)
+  mutable inflight_bytes : int;  (** payload bytes in [inflight] *)
   rxq : Buffer.t;
   mutable fin_received : bool;
   mutable fin_sent : bool;
@@ -167,8 +176,20 @@ let maybe_time_span c ~upto =
     c.rtt_sent_at <- Sim_clock.now_ns c.stack.clock
   end
 
-let inflight_bytes c =
-  List.fold_left (fun acc (_, p) -> acc + String.length p) 0 c.inflight
+let tx_pending c = Buffer.length c.txq - c.tx_off
+
+(* Drop the consumed prefix of the send queue once it is more than
+   half of it (all of it, when the queue drained), so each queued byte
+   is moved O(1) times. *)
+let trim_txq c =
+  let n = Buffer.length c.txq in
+  if 2 * c.tx_off > n then begin
+    let rest = Buffer.sub c.txq c.tx_off (n - c.tx_off) in
+    Buffer.clear c.txq;
+    Buffer.add_string c.txq rest;
+    Metrics.Counter.add m_bytes_copied (2 * String.length rest);
+    c.tx_off <- 0
+  end
 
 (* Segment pending bytes from the tx queue into the window. Fin_wait
    still drains: close() with queued data must deliver it all before
@@ -177,29 +198,28 @@ let pump c =
   match c.cstate with
   | Established | Close_wait | Fin_wait ->
       let progress = ref false in
-      while
-        Buffer.length c.txq > 0 && inflight_bytes c + mss <= window_bytes
-      do
-        let take = min mss (Buffer.length c.txq) in
-        let payload = Buffer.sub c.txq 0 take in
-        let rest = Buffer.sub c.txq take (Buffer.length c.txq - take) in
-        Buffer.clear c.txq;
-        Buffer.add_string c.txq rest;
+      while tx_pending c > 0 && c.inflight_bytes + mss <= window_bytes do
+        let take = min mss (tx_pending c) in
+        let payload = Buffer.sub c.txq c.tx_off take in
+        Metrics.Counter.add m_bytes_copied take;
+        c.tx_off <- c.tx_off + take;
         let seq = c.snd_nxt in
         c.snd_nxt <- c.snd_nxt + take;
-        c.inflight <- c.inflight @ [ (seq, payload) ];
+        Queue.push (seq, payload) c.inflight;
+        c.inflight_bytes <- c.inflight_bytes + take;
         maybe_time_span c ~upto:(seq + take);
         send_seg c ~payload ~flags:{ no_flags with ack = true } ~seq ();
         progress := true
       done;
+      trim_txq c;
       if !progress then arm_rto c
   | Syn_sent | Syn_received | Closed -> ()
 
 let maybe_send_fin c =
   if
     (not c.fin_sent)
-    && Buffer.length c.txq = 0
-    && c.inflight = []
+    && tx_pending c = 0
+    && Queue.is_empty c.inflight
     && (c.cstate = Fin_wait || (c.cstate = Close_wait && c.fin_received))
   then begin
     c.fin_sent <- true;
@@ -219,7 +239,9 @@ let mk_conn stack ~local_port ~remote ~cstate ~isn ~rcv_nxt =
     snd_una = isn;
     rcv_nxt;
     txq = Buffer.create 256;
-    inflight = [];
+    tx_off = 0;
+    inflight = Queue.create ();
+    inflight_bytes = 0;
     rxq = Buffer.create 256;
     fin_received = false;
     fin_sent = false;
@@ -274,6 +296,7 @@ let send c data =
 
 let recv c =
   let data = Buffer.contents c.rxq in
+  Metrics.Counter.add m_bytes_copied (String.length data);
   Buffer.clear c.rxq;
   data
 
@@ -305,13 +328,25 @@ let handle_ack c ack_no =
       c.rtt_seq <- -1
     end;
     c.snd_una <- ack_no;
-    c.inflight <-
-      List.filter (fun (seq, p) -> seq + String.length p > ack_no) c.inflight;
-    if c.inflight = [] then c.rto_deadline <- Int64.max_int else arm_rto c;
+    (* Segments are queued in sequence order, so the fully acknowledged
+       ones are a prefix. *)
+    let rec pop_acked () =
+      match Queue.peek_opt c.inflight with
+      | Some (seq, p) when seq + String.length p <= ack_no ->
+          ignore (Queue.pop c.inflight);
+          c.inflight_bytes <- c.inflight_bytes - String.length p;
+          pop_acked ()
+      | Some _ | None -> ()
+    in
+    pop_acked ();
+    if Queue.is_empty c.inflight then c.rto_deadline <- Int64.max_int
+    else arm_rto c;
     pump c;
     maybe_send_fin c;
     (* If both sides have finished, reap. *)
-    if c.fin_sent && c.fin_received && c.inflight = [] && ack_no >= c.snd_nxt
+    if
+      c.fin_sent && c.fin_received && Queue.is_empty c.inflight
+      && ack_no >= c.snd_nxt
     then begin
       c.cstate <- Closed;
       Hashtbl.remove c.stack.conns (conn_key c)
@@ -359,7 +394,10 @@ let handle_tcp t ~src_ip (seg : tcp) =
               | Fin_wait | Close_wait | Syn_sent | Syn_received | Closed -> ());
               send_ack c;
               maybe_send_fin c;
-              if c.fin_sent && c.inflight = [] && c.snd_una >= c.snd_nxt then begin
+              if
+                c.fin_sent && Queue.is_empty c.inflight
+                && c.snd_una >= c.snd_nxt
+              then begin
                 c.cstate <- Closed;
                 Hashtbl.remove t.conns (conn_key c)
               end
@@ -445,12 +483,12 @@ let handle_timeout c =
           ~flags:{ no_flags with syn = true; ack = true }
           ~seq:c.snd_una ()
     | Established | Fin_wait | Close_wait ->
-        List.iter
+        Queue.iter
           (fun (seq, payload) ->
             count_retx c;
             send_seg c ~payload ~flags:{ no_flags with ack = true } ~seq ())
           c.inflight;
-        if c.fin_sent && c.inflight = [] then begin
+        if c.fin_sent && Queue.is_empty c.inflight then begin
           count_retx c;
           send_seg c
             ~flags:{ no_flags with fin = true; ack = true }

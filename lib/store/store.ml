@@ -545,9 +545,9 @@ let sync_oid t ~oid = sync_oids t ~oids:[ oid ]
    is no cached home image, when the payload or header length changed,
    or when the WAL holds a record of the object that recovery would
    replay over the home copy. *)
-let sync_range t ~oid ~header ~body ~off ~len =
+let sync_range t ~oid ~header ~body ~body_len ~off ~len =
   let header_len = String.length header in
-  let size = header_len + Bytes.length body in
+  let size = header_len + body_len in
   let home =
     match (Hashtbl.find_opt t.dirty oid, Bptree.find t.object_map oid, Hashtbl.find_opt t.cache oid) with
     | Some None, _, _ | _, None, _ | _, _, None -> None
@@ -560,7 +560,7 @@ let sync_range t ~oid ~header ~body ~off ~len =
   | None ->
       let payload = Bytes.create size in
       Bytes.blit_string header 0 payload 0 header_len;
-      Bytes.blit body 0 payload header_len (Bytes.length body);
+      Bytes.blit body 0 payload header_len body_len;
       put t ~oid ~header_len (Bytes.unsafe_to_string payload);
       sync_oid t ~oid;
       false
@@ -579,8 +579,8 @@ let sync_range t ~oid ~header ~body ~off ~len =
       in
       if not (String.equal header (Bytes.sub_string b image_header header_len)) then
         patch ~pos:0 ~n:header_len (fun dst -> Bytes.blit_string header 0 b dst header_len);
-      let lo = min off (Bytes.length body) in
-      let hi = min (off + len) (Bytes.length body) in
+      let lo = min off body_len in
+      let hi = min (off + len) body_len in
       patch ~pos:(header_len + lo) ~n:(hi - lo) (fun dst -> Bytes.blit body lo b dst (hi - lo));
       let work = ref 0 in
       List.iter

@@ -71,9 +71,18 @@ val sync_oids : t -> oids:int64 list -> unit
     barrier) — the group-commit advantage of the log. *)
 
 val sync_range :
-  t -> oid:int64 -> header:string -> body:Bytes.t -> off:int -> len:int -> bool
+  t ->
+  oid:int64 ->
+  header:string ->
+  body:Bytes.t ->
+  body_len:int ->
+  off:int ->
+  len:int ->
+  bool
 (** In-place page flush (§7.1). The object's payload is [header]
-    followed by [body]. Patch [header] and body bytes [off, off+len)
+    followed by the first [body_len] bytes of [body]; bytes of [body]
+    past [body_len] (a segment's spare capacity) are never read, and
+    the range is clamped to [body_len]. Patch [header] and body bytes [off, off+len)
     into the cached home image, re-checksum only the chunks they touch,
     and force the header sector(s) and the sectors covering the range to
     the object's home location with one barrier — no log record, no

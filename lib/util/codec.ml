@@ -24,9 +24,9 @@ module Enc = struct
 
   let raw b s = Buffer.add_string b s
 
-  let bytes b s =
-    u32 b (Bytes.length s);
-    Buffer.add_bytes b s
+  let sub_bytes b s ~len =
+    u32 b len;
+    Buffer.add_subbytes b s 0 len
 
   let list b f l =
     u32 b (List.length l);

@@ -27,9 +27,9 @@ module Enc : sig
   val raw : t -> string -> unit
   (** Appends the bytes with no length prefix. *)
 
-  val bytes : t -> Bytes.t -> unit
-  (** Like {!str}, straight from a mutable buffer: same encoding, no
-      intermediate string. *)
+  val sub_bytes : t -> Bytes.t -> len:int -> unit
+  (** Like {!str} of the first [len] bytes of a mutable buffer: same
+      encoding, no intermediate string. *)
 
   val list : t -> (t -> 'a -> unit) -> 'a list -> unit
   val array : t -> (t -> 'a -> unit) -> 'a array -> unit

@@ -734,6 +734,85 @@ let mk_store () =
   in
   (disk, Histar_store.Store.format ~disk ~wal_sectors:1024 ())
 
+(* Segments keep spare backing capacity past their logical length, and
+   nothing may see it: a grow after a shrink reads zeros, and the size,
+   quota usage, a copy, the host view, the store encoding (through a
+   checkpoint, a range flush and recovery) and fork/resume all see
+   exactly the logical bytes. *)
+let test_segment_capacity_invisible () =
+  let disk, store = mk_store () in
+  let k = Kernel.create ~store () in
+  let root = Kernel.root k in
+  let want =
+    String.make 100 'x' ^ String.make 2_890 '\000' ^ "tail-bytes!"
+  in
+  let ids = ref None in
+  let _tid =
+    Kernel.spawn k ~name:"init" (fun () ->
+        let s =
+          Sys.segment_create ~container:root ~label:l1 ~quota:65536L ~len:0 "s"
+        in
+        let ce = centry root s in
+        let zeros ~off ~len =
+          Alcotest.(check string)
+            (Printf.sprintf "zeros at [%d,%d)" off (off + len))
+            (String.make len '\000')
+            (Sys.segment_read ce ~off ~len ())
+        in
+        Sys.segment_resize ce 10_000;
+        Sys.segment_write ce (String.make 10_000 'x');
+        (* shrink within capacity, grow back: the dropped tail is zero *)
+        Sys.segment_resize ce 6_000;
+        Sys.segment_resize ce 10_000;
+        zeros ~off:6_000 ~len:4_000;
+        (* shrink below half the capacity, grow back *)
+        Sys.segment_resize ce 100;
+        Sys.segment_resize ce 3_000;
+        zeros ~off:100 ~len:2_900;
+        (* one byte past a full capacity doubles it *)
+        Sys.segment_resize ce 3_001;
+        Sys.segment_write ce ~off:2_990 "tail-bytes!";
+        Alcotest.(check int) "size" 3_001 (Sys.segment_size ce);
+        Alcotest.(check string) "contents" want (Sys.segment_read ce ());
+        Alcotest.(check int64) "usage charges the logical length"
+          (Int64.add 512L 3_001L)
+          (snd (Sys.obj_quota ce));
+        let c =
+          Sys.segment_copy ~src:ce ~container:root ~label:l1 ~quota:65536L "c"
+        in
+        Alcotest.(check int) "copy size" 3_001 (Sys.segment_size (centry root c));
+        ids := Some (s, c))
+  in
+  Kernel.run k;
+  let s, c = Option.get !ids in
+  let view k = Kernel.segment_data k s in
+  Alcotest.(check (option string)) "host view" (Some want) (view k);
+  Alcotest.(check (option string)) "copy" (Some want) (Kernel.segment_data k c);
+  Alcotest.(check (option string)) "fork/resume" (Some want)
+    (view (Kernel.resume (Kernel.fork k)));
+  Kernel.checkpoint k;
+  Alcotest.(check (option string)) "checkpoint/recover" (Some want)
+    (view (Kernel.recover ~store));
+  (* A range flush of the capacity-backed segment after the checkpoint;
+     a power cut then leaves exactly the logical bytes. *)
+  let want = String.sub want 0 2_990 ^ "flushed-in!" in
+  let _tid =
+    Kernel.spawn k ~name:"flush" (fun () ->
+        let ce = centry root s in
+        Sys.segment_write ce ~off:2_990 "flushed-in!";
+        Sys.sync_range ce ~off:2_990 ~len:11)
+  in
+  Kernel.run k;
+  let crashed =
+    Histar_store.Store.recover
+      ~disk:
+        (Histar_disk.Disk.restore (Histar_disk.Disk.snapshot disk)
+           ~clock:(Histar_util.Sim_clock.create ()))
+  in
+  Histar_store.Store.fsck crashed;
+  Alcotest.(check (option string)) "range flush/crash/recover" (Some want)
+    (view (Kernel.recover ~store:crashed))
+
 let test_checkpoint_recover () =
   let _disk, store = mk_store () in
   let k = Kernel.create ~store () in
@@ -1405,6 +1484,8 @@ let () =
       ( "segments",
         [
           Alcotest.test_case "read/write/resize" `Quick test_segment_rw;
+          Alcotest.test_case "capacity invisible" `Quick
+            test_segment_capacity_invisible;
           Alcotest.test_case "bounds" `Quick test_segment_oob;
           Alcotest.test_case "tainted unreadable" `Quick
             test_tainted_segment_unreadable;

@@ -169,40 +169,48 @@ let test_tcp_rst_on_closed_port () =
   let c = Stack.connect (Sim_host.stack a) ~dst:(Addr.v "10.0.0.2" 9999) in
   Alcotest.(check bool) "reset" true (Stack.state c = Stack.Closed)
 
-let test_tcp_loss_recovery () =
+(* Fetch [content] from a [serve_file] host over a fresh connection,
+   driving both stacks' timers so lost frames (the SYN included) are
+   recovered by retransmission. Returns the bytes received and the
+   segments the two stacks retransmitted. *)
+let fetch ?(loss_rate = 0.0) content =
   let clock = Clock.create () in
   let rng = Histar_util.Rng.create 42L in
-  let hub = Hub.create ~clock ~loss_rate:0.05 ~rng () in
+  let hub = Hub.create ~clock ~loss_rate ~rng () in
   let a = Sim_host.create ~hub ~clock ~ip:"10.0.0.1" ~mac:"aa" () in
   let b = Sim_host.create ~hub ~clock ~ip:"10.0.0.2" ~mac:"bb" () in
-  let content = String.init 50_000 (fun i -> Char.chr (i * 7 land 0xff)) in
   Sim_host.serve_file b ~port:80 ~content;
-  let sa = Sim_host.stack a in
+  let sa = Sim_host.stack a and sb = Sim_host.stack b in
   let c = Stack.connect sa ~dst:(Addr.v "10.0.0.2" 80) in
-  (* the SYN itself may be lost: drive timers until established *)
+  let step ms =
+    Clock.advance_ms clock ms;
+    Stack.tick sa;
+    Stack.tick sb
+  in
   let guard = ref 0 in
   while Stack.state c <> Stack.Established && !guard < 1000 do
     incr guard;
-    Clock.advance_ms clock 250.0;
-    Stack.tick sa;
-    Stack.tick (Sim_host.stack b)
+    step 250.0
   done;
   Alcotest.(check bool) "established despite loss" true
     (Stack.state c = Stack.Established);
   Stack.send c "GET /file";
   let buf = Buffer.create 1024 in
   let guard = ref 0 in
-  while (not (Stack.recv_eof c)) && !guard < 20_000 do
+  while (not (Stack.recv_eof c)) && !guard < 200_000 do
     incr guard;
     Buffer.add_string buf (Stack.recv c);
-    Clock.advance_ms clock 50.0;
-    Stack.tick sa;
-    Stack.tick (Sim_host.stack b)
+    step 50.0
   done;
-  Alcotest.(check bool) "retransmissions happened" true
-    (Stack.segments_retransmitted sa + Stack.segments_retransmitted (Sim_host.stack b) > 0);
+  ( Buffer.contents buf,
+    Stack.segments_retransmitted sa + Stack.segments_retransmitted sb )
+
+let test_tcp_loss_recovery () =
+  let content = String.init 50_000 (fun i -> Char.chr (i * 7 land 0xff)) in
+  let got, retx = fetch ~loss_rate:0.05 content in
+  Alcotest.(check bool) "retransmissions happened" true (retx > 0);
   Alcotest.(check bool) "content intact despite loss" true
-    (String.equal content (Buffer.contents buf))
+    (String.equal content got)
 
 (* Satellite property: a byte stream pushed through a hub injecting
    loss + duplication + reordering (+ corruption, caught by the frame
@@ -267,6 +275,51 @@ let test_tcp_stream_exact_under_faulty_hub () =
         true
         (String.equal content (Buffer.contents buf)))
     [ 0x5EED1L; 0x5EED2L; 0x5EED3L ]
+
+let copied_per_byte f n =
+  let module Metrics = Histar_metrics.Metrics in
+  Metrics.with_enabled true (fun () ->
+      let c0 = Metrics.counter_value "net.bytes_copied" in
+      f n;
+      float_of_int (Metrics.counter_value "net.bytes_copied" - c0)
+      /. float_of_int n)
+
+(* Deterministic work gate: the stack copies each payload byte a
+   bounded number of times whatever the transfer size, so copies per
+   byte at 256 KB and at 2 MB agree to within 10%. A send queue that
+   re-copies its unsent tail per segment fails it by orders of
+   magnitude. *)
+let test_tcp_copies_linear () =
+  let transfer n =
+    let content = String.init n (fun i -> Char.chr (i * 13 land 0xff)) in
+    let got, _ = fetch content in
+    Alcotest.(check bool) (Printf.sprintf "%d bytes intact" n) true
+      (String.equal content got)
+  in
+  let small = copied_per_byte transfer (256 * 1024) in
+  let large = copied_per_byte transfer (2 * 1024 * 1024) in
+  Alcotest.(check bool)
+    (Printf.sprintf "copies per byte %.3f (256 KB) vs %.3f (2 MB)" small large)
+    true
+    (Float.abs (large -. small) <= 0.1 *. small)
+
+(* Go-back-N over a lossy wire resends from the in-flight queue while
+   the send queue behind it is compacted: a multi-MB stream must still
+   arrive byte-exact. More than two copies per byte (extraction plus
+   [recv]) shows the compaction ran. *)
+let test_tcp_lossy_compaction_exact () =
+  let n = 3 * 1024 * 1024 in
+  let content = Histar_util.Rng.bytes (Histar_util.Rng.create 0xB16L) n in
+  let result = ref ("", 0) in
+  let per_byte =
+    copied_per_byte (fun _ -> result := fetch ~loss_rate:0.01 content) n
+  in
+  let got, retx = !result in
+  Alcotest.(check bool) "retransmissions happened" true (retx > 0);
+  Alcotest.(check bool)
+    (Printf.sprintf "send queue compacted (%.3f copies per byte)" per_byte)
+    true (per_byte > 2.0);
+  Alcotest.(check bool) "stream exact" true (String.equal content got)
 
 let test_udp () =
   let _clock, _hub, a, b = mk_pair () in
@@ -591,6 +644,10 @@ let () =
           Alcotest.test_case "loss recovery" `Quick test_tcp_loss_recovery;
           Alcotest.test_case "stream exact under faulty hub" `Quick
             test_tcp_stream_exact_under_faulty_hub;
+          Alcotest.test_case "copies linear in size" `Quick
+            test_tcp_copies_linear;
+          Alcotest.test_case "lossy multi-MB with compaction" `Quick
+            test_tcp_lossy_compaction_exact;
           Alcotest.test_case "udp" `Quick test_udp;
           Alcotest.test_case "bandwidth model" `Quick test_hub_bandwidth_model;
           Alcotest.test_case "byte conservation" `Quick test_byte_conservation;

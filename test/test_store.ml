@@ -205,7 +205,10 @@ let test_sync_range_in_place () =
   Store.put s ~oid:9L (Bytes.to_string big);
   let t0 = Clock.now_ns clock in
   let commits0 = (Store.stats s).Store.wal_commits in
-  let in_place = Store.sync_range s ~oid:9L ~header:"" ~body:big ~off:50_000 ~len:100 in
+  let in_place =
+    Store.sync_range s ~oid:9L ~header:"" ~body:big ~body_len:(Bytes.length big)
+      ~off:50_000 ~len:100
+  in
   Alcotest.(check bool) "in-place path taken" true in_place;
   let dt = Int64.sub (Clock.now_ns clock) t0 in
   Alcotest.(check int) "no log commit" commits0 (Store.stats s).Store.wal_commits;
@@ -258,7 +261,8 @@ let test_sync_range_partial_dirty () =
   Bytes.fill body 15_000 300 'B';
   Store.put s ~oid:5L ~header_len:0 (Bytes.to_string body);
   Alcotest.(check bool) "in-place path taken" true
-    (Store.sync_range s ~oid:5L ~header:"" ~body ~off:1_000 ~len:300);
+    (Store.sync_range s ~oid:5L ~header:"" ~body ~body_len:(Bytes.length body)
+       ~off:1_000 ~len:300);
   Store.fsck s;
   Alcotest.(check (option string)) "pending put still visible"
     (Some (Bytes.to_string body)) (Store.get s ~oid:5L);
@@ -277,6 +281,31 @@ let test_sync_range_partial_dirty () =
   Alcotest.(check (option string)) "checkpoint makes B durable"
     (Some (Bytes.to_string body)) (Store.get s'' ~oid:5L)
 
+let test_sync_range_body_len () =
+  (* The body buffer may run past the payload (a segment's spare
+     capacity): only its first [body_len] bytes are the object, on the
+     in-place path and on the log fallback alike, and a range reaching
+     past [body_len] is clamped to it. *)
+  let _, disk, s = mk () in
+  let body_len = 12_000 and header = "hdr" in
+  let body = Bytes.make 20_000 'J' in
+  Bytes.fill body 0 body_len 'o';
+  let payload () = header ^ Bytes.sub_string body 0 body_len in
+  Store.put s ~oid:3L ~header_len:3 (payload ());
+  Store.checkpoint s;
+  Bytes.fill body 11_000 1_000 'n';
+  Alcotest.(check bool) "in-place path taken" true
+    (Store.sync_range s ~oid:3L ~header ~body ~body_len ~off:11_000 ~len:5_000);
+  Alcotest.(check bool) "log path taken" false
+    (Store.sync_range s ~oid:13L ~header ~body ~body_len ~off:0 ~len:10);
+  Store.fsck s;
+  let s' = Store.recover ~disk:(crash_copy disk) in
+  Store.fsck s';
+  Alcotest.(check (option string)) "in-place flush recovers exact"
+    (Some (payload ())) (Store.get s' ~oid:3L);
+  Alcotest.(check (option string)) "logged flush recovers exact"
+    (Some (payload ())) (Store.get s' ~oid:13L)
+
 let test_sync_range_after_log_falls_back () =
   (* Recovery replays a logged record over the home image, so once an
      object is in the log a range flush must go to the log too, or the
@@ -290,7 +319,8 @@ let test_sync_range_after_log_falls_back () =
   Store.sync_oid s ~oid:6L;
   Bytes.fill body 9_000 10 'R';
   Alcotest.(check bool) "log path taken" false
-    (Store.sync_range s ~oid:6L ~header:"" ~body ~off:9_000 ~len:10);
+    (Store.sync_range s ~oid:6L ~header:"" ~body ~body_len:(Bytes.length body)
+       ~off:9_000 ~len:10);
   let s' = Store.recover ~disk:(crash_copy disk) in
   Store.fsck s';
   Alcotest.(check (option string)) "both writes durable"
@@ -356,7 +386,8 @@ let prop_incremental_root =
           if header_change = 0 && header_len > 0 then
             Bytes.set header (i mod header_len) c;
           Bytes.fill body (min off size) (max 0 (min len (size - off))) c;
-          if not (Store.sync_range s ~oid:7L ~header:(Bytes.to_string header) ~body ~off ~len)
+          if not (Store.sync_range s ~oid:7L ~header:(Bytes.to_string header) ~body
+                  ~body_len:size ~off ~len)
           then ok := false;
           Bytes.blit header 0 durable 0 header_len;
           let lo = min off size and hi = min (off + len) size in
@@ -640,14 +671,16 @@ let test_fork_range_flush_branch_local () =
   let branch = Bytes.copy body in
   Bytes.fill branch 100 50 'x';
   Alcotest.(check bool) "branch in place" true
-    (Store.sync_range b ~oid:8L ~header:"" ~body:branch ~off:100 ~len:50);
+    (Store.sync_range b ~oid:8L ~header:"" ~body:branch
+       ~body_len:(Bytes.length branch) ~off:100 ~len:50);
   Alcotest.(check (option string)) "trunk cache untouched"
     (Some (Bytes.to_string body)) (Store.get s ~oid:8L);
   Store.fsck s;
   Store.fsck b;
   Bytes.fill body 20_000 50 'y';
   Alcotest.(check bool) "trunk in place" true
-    (Store.sync_range s ~oid:8L ~header:"" ~body ~off:20_000 ~len:50);
+    (Store.sync_range s ~oid:8L ~header:"" ~body ~body_len:(Bytes.length body)
+       ~off:20_000 ~len:50);
   Alcotest.(check (option string)) "branch cache untouched"
     (Some (Bytes.to_string branch)) (Store.get b ~oid:8L);
   Store.fsck s;
@@ -685,6 +718,8 @@ let () =
             test_sync_range_partial_dirty;
           Alcotest.test_case "sync_range after a log sync" `Quick
             test_sync_range_after_log_falls_back;
+          Alcotest.test_case "sync_range of a body prefix" `Quick
+            test_sync_range_body_len;
           QCheck_alcotest.to_alcotest prop_incremental_root;
           Alcotest.test_case "group sync wins" `Quick
             test_group_sync_faster_than_per_file_sync;

@@ -492,6 +492,39 @@ let test_fsync_range_work_flat () =
   Alcotest.(check bool) (Printf.sprintf "checksummed %d vs %d bytes" sum1 sum8) true
     (sum8 >= 8192 && abs (sum1 - sum8) <= slack && sum8 <= 8192 + (2 * 4096) + slack)
 
+(* Kernel bytes copied per byte appended, writing [size] bytes to a
+   file in 8 KB appends. *)
+let append_copies size =
+  in_unix (fun _k proc ->
+      let fs = Process.fs proc in
+      ignore (Fs.create fs "/f");
+      Fs.reserve fs "/f" (size + 65536);
+      let data = String.make 8192 'a' in
+      let fd = Process.open_file proc "/f" in
+      let copied =
+        Metrics.with_enabled true (fun () ->
+            let c0 = Metrics.counter_value "kernel.bytes_copied" in
+            for _ = 1 to size / 8192 do
+              ignore (Process.write proc fd data)
+            done;
+            Metrics.counter_value "kernel.bytes_copied" - c0)
+      in
+      Process.close proc fd;
+      Alcotest.(check int) "file size" size (Fs.file_size fs "/f");
+      float_of_int copied /. float_of_int size)
+
+let test_append_copies_linear () =
+  (* Deterministic work gate: each append past the end resizes the file
+     segment, and a resize within capacity must not copy the segment,
+     so the copies per byte written stay constant in the file size. *)
+  List.iter
+    (fun mb ->
+      let per_byte = append_copies (mb lsl 20) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d MB: %.3f bytes copied per byte written" mb per_byte)
+        true (per_byte <= 3.0))
+    [ 1; 4 ]
+
 let () =
   Alcotest.run "histar_unix"
     [
@@ -522,6 +555,8 @@ let () =
         [
           Alcotest.test_case "read/write/seek" `Quick test_fd_read_write_seek;
           Alcotest.test_case "append" `Quick test_fd_append;
+          Alcotest.test_case "appends copy linearly" `Quick
+            test_append_copies_linear;
         ] );
       ( "pipes",
         [
