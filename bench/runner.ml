@@ -211,12 +211,15 @@ let wget_faulty size =
    over lib/dist, measured as the makespan of a fixed request batch.
    One entry per node count gives the scale trajectory (requests/sec
    vs nodes) as consecutive cells of the same committed run; the
-   dist-smoke CI job checks the 1→4 cells actually speed up. *)
-let dist_cluster ?(user_count = 2) ?(concurrency = 8) ?(zipf = false) ~nodes
-    size =
+   dist-smoke CI job checks the 1→4 cells actually speed up.
+   [requests] overrides the batch size (the scaling experiment). *)
+let dist_cluster ?(user_count = 2) ?(concurrency = 8) ?(zipf = false) ?requests
+    ~nodes size =
   let module Webcluster = Histar_apps.Webcluster in
   let module Rng = Histar_util.Rng in
-  let requests = pick size ~smoke:12 ~full:120 in
+  let requests =
+    match requests with Some n -> n | None -> pick size ~smoke:12 ~full:120
+  in
   let wc = Webcluster.build ~app_nodes:nodes ~user_count ~work_us:5_000 () in
   let users = Webcluster.users wc in
   (* Request mix: round-robin for the small cells, zipfian (weight

@@ -807,7 +807,7 @@ and setup_balancer t =
            in
            incr n;
            ignore
-             (Sys.thread_create ~container:root ~label:l1 ~clearance:l3
+             (Sys.thread_create_reaped ~container:root ~label:l1 ~clearance:l3
                 ~quota:262144L
                 ~name:(Printf.sprintf "front-worker-%d" !n)
                 (handle_front t front_netd sock)

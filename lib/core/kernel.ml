@@ -48,6 +48,15 @@ type wait_reason =
   | W_alert
   | W_timer of int64  (** virtual-ns deadline *)
 
+(* Threads parked on a timer, ordered by (deadline, tid): the minimum
+   is the next sleeper to wake, lowest deadline then lowest tid. *)
+module Timers = Set.Make (struct
+  type t = int64 * oid
+
+  let compare (d, tid) (d', tid') =
+    match Int64.compare d d' with 0 -> Int64.compare tid tid' | c -> c
+end)
+
 (* ---------- kernel objects ---------- *)
 
 (* A segment's logical contents are [data[0, len)]; [data] is backing
@@ -92,6 +101,7 @@ type address_space = { mutable mappings : mapping list }
 type device = {
   mac : string;
   rx : string Queue.t;
+  waiters : oid Queue.t;  (** threads blocked in [net_recv], in block order *)
   mutable transmit : string -> unit;
 }
 
@@ -163,6 +173,10 @@ type t = {
   catgen : Category_gen.t;
   runq : oid Queue.t;
   futexq : (int64, oid Queue.t) Hashtbl.t;
+  (* Every thread blocked on [W_timer], kept exact: entries leave
+     eagerly when the thread wakes, halts or is destroyed, so timer
+     scheduling never scans the object table. *)
+  mutable timers : Timers.t;
   label_cache : Label_cache.t;
   profile : Profile.t;
   mutable current : oid;
@@ -492,7 +506,13 @@ let decode_obj payload =
         in
         Asp { mappings }
     | Device ->
-        Dev { mac = Codec.Dec.str d; rx = Queue.create (); transmit = ignore }
+        Dev
+          {
+            mac = Codec.Dec.str d;
+            rx = Queue.create ();
+            waiters = Queue.create ();
+            transmit = ignore;
+          }
   in
   { id; kind; label; descrip; quota; usage; fixed_quota; immut; metadata; refs; body }
 
@@ -509,6 +529,40 @@ let next_oid k =
   in
   fresh ()
 
+(* ---------- wait indexes ---------- *)
+
+(* A blocked thread is indexed by what it waits for, so timer
+   scheduling and packet delivery find their waiters without scanning
+   the object table (futex waiters have [futexq]). An entry is added
+   when the thread blocks and removed when it wakes, halts or is
+   destroyed, so each index holds exactly the threads blocked on it. *)
+let index_wait k tid = function
+  | W_timer d -> k.timers <- Timers.add (d, tid) k.timers
+  | W_net dev -> (
+      match find_obj k dev with
+      | Some { body = Dev d; _ } -> Queue.push tid d.waiters
+      | Some _ | None -> ())
+  | W_futex _ | W_alert -> ()
+
+let unindex_wait k tid = function
+  | W_timer d -> k.timers <- Timers.remove (d, tid) k.timers
+  | W_net dev -> (
+      match find_obj k dev with
+      | Some { body = Dev d; _ } ->
+          let others = Queue.copy d.waiters in
+          Queue.clear d.waiters;
+          Queue.iter
+            (fun t -> if not (Int64.equal t tid) then Queue.push t d.waiters)
+            others
+      | Some _ | None -> ())
+  | W_futex _ | W_alert -> ()
+
+(* Called wherever a thread stops being blocked other than by [wake]. *)
+let unblock k tid th =
+  match th.tstate with
+  | `Blocked reason -> unindex_wait k tid reason
+  | `Ready | `Running | `Halted -> ()
+
 let rec destroy k o =
   Hashtbl.remove k.objects o.id;
   store_delete k o.id;
@@ -524,6 +578,7 @@ let rec destroy k o =
         c.children;
       Hashtbl.reset c.children
   | Thr th -> begin
+      unblock k o.id th;
       th.tstate <- `Halted;
       th.next_run <- None;
       th.parked <- None;
@@ -626,7 +681,8 @@ let wake k tid resp =
   match find_obj k tid with
   | Some { body = Thr th; _ } -> (
       match (th.tstate, th.parked) with
-      | `Blocked _, Some kont ->
+      | `Blocked reason, Some kont ->
+          unindex_wait k tid reason;
           th.parked <- None;
           th.tstate <- `Ready;
           th.next_run <- Some (Resume (kont, resp));
@@ -1521,7 +1577,8 @@ let start_body body =
 
 let halt_thread k tid =
   match find_obj k tid with
-  | Some ({ body = Thr th; _ } as _o) ->
+  | Some { body = Thr th; _ } ->
+      unblock k tid th;
       th.tstate <- `Halted;
       th.next_run <- None;
       th.parked <- None
@@ -1587,7 +1644,8 @@ let rec run_state_loop k tid rs =
               enqueue k tid
           | A_block reason ->
               th.tstate <- `Blocked reason;
-              th.parked <- Some kont
+              th.parked <- Some kont;
+              index_wait k tid reason
           | A_jump f ->
               (* control transfer through a gate: the old continuation
                  is abandoned, like loading a new PC *)
@@ -1623,26 +1681,12 @@ and run_slice k tid =
    earliest deadline and wake that sleeper. This is what lets a
    retransmission timer fire over a fully flapped link (no inbound
    frames to drive progress) without busy-spinning the run queue.
-   Ties break on the lower deadline then the lower tid, so the wake
-   order is independent of hash-table iteration order. *)
+   Ties break on the lower deadline then the lower tid ([Timers]
+   order), so the wake order is a function of the schedule alone. *)
 let fire_next_timer k =
-  let next =
-    Hashtbl.fold
-      (fun tid o acc ->
-        match o.body with
-        | Thr { tstate = `Blocked (W_timer d); _ } -> (
-            match acc with
-            | Some (tid', d')
-              when Int64.compare d' d < 0
-                   || (Int64.equal d' d && Int64.compare tid' tid < 0) ->
-                acc
-            | Some _ | None -> Some (tid, d))
-        | _ -> acc)
-      k.objects None
-  in
-  match next with
+  match Timers.min_elt_opt k.timers with
   | None -> false
-  | Some (tid, d) ->
+  | Some (d, tid) ->
       let now = Sim_clock.now_ns k.clock in
       if Int64.compare d now > 0 then
         Sim_clock.advance_ns k.clock (Int64.sub d now);
@@ -1652,16 +1696,7 @@ let fire_next_timer k =
 (* Earliest parked timer deadline, for multi-kernel drivers that must
    decide which host's idle clock to advance next (lib/dist's cluster
    driver). [None] when no thread is parked on a timer. *)
-let next_timer_ns k =
-  Hashtbl.fold
-    (fun _ o acc ->
-      match o.body with
-      | Thr { tstate = `Blocked (W_timer d); _ } -> (
-          match acc with
-          | Some d' when Int64.compare d' d <= 0 -> acc
-          | Some _ | None -> Some d)
-      | _ -> acc)
-    k.objects None
+let next_timer_ns k = Option.map fst (Timers.min_elt_opt k.timers)
 
 let step k =
   match Queue.take_opt k.runq with
@@ -1767,6 +1802,7 @@ let create ?(seed = 0x4853_7461_7221L) ?clock ?store ?(syscall_cost_ns = 500)
       catgen = Category_gen.create ~key:(Int64.lognot seed);
       runq = Queue.create ();
       futexq = Hashtbl.create 64;
+      timers = Timers.empty;
       label_cache = Label_cache.create ~elide ();
       profile = Profile.create ();
       current = 0L;
@@ -1860,7 +1896,8 @@ let attach_netdev k ~container ~label ~mac ~transmit =
       immut = false;
       metadata = "";
       refs = 1;
-      body = Dev { mac; rx = Queue.create (); transmit };
+      body =
+        Dev { mac; rx = Queue.create (); waiters = Queue.create (); transmit };
     }
   in
   Hashtbl.replace k.objects id o;
@@ -1875,30 +1912,12 @@ let deliver_packet k dev_oid frame =
   match find_obj k dev_oid with
   | Some { body = Dev d; _ } -> (
       Queue.push frame d.rx;
-      (* wake one thread blocked on this device *)
-      let waiter =
-        fold_threads k
-          (fun acc th ->
-            match (acc, th.tstate) with
-            | None, `Blocked (W_net oid) when Int64.equal oid dev_oid ->
-                Some th
-            | _ -> acc)
-          None
-      in
-      match waiter with
-      | Some _ ->
-          (* find its tid by scanning; thread records don't know their id *)
-          Hashtbl.iter
-            (fun tid o ->
-              match o.body with
-              | Thr th -> (
-                  match th.tstate with
-                  | `Blocked (W_net oid)
-                    when Int64.equal oid dev_oid && not (Queue.is_empty d.rx) ->
-                      wake k tid (R_bytes (Queue.pop d.rx))
-                  | _ -> ())
-              | _ -> ())
-            k.objects
+      (* Wake the longest-blocked receiver: waiters are served FIFO in
+         the order they blocked. A thread blocks only on an empty rx
+         queue and a frame that arrives while one waits goes straight
+         to it, so with a waiter this frame is the only one queued. *)
+      match Queue.peek_opt d.waiters with
+      | Some tid -> wake k tid (R_bytes (Queue.pop d.rx))
       | None -> ())
   | Some _ | None -> invalid_arg "Kernel.deliver_packet: no such device"
 
@@ -1943,6 +1962,7 @@ let recover ~store =
       catgen = Category_gen.restore ~key:(Int64.lognot key) ~counter:cat_counter;
       runq = Queue.create ();
       futexq = Hashtbl.create 64;
+      timers = Timers.empty;
       label_cache = Label_cache.create ();
       profile = Profile.create ();
       current = 0L;
@@ -2067,6 +2087,7 @@ let resume h =
           ~counter:h.h_cat_counter;
       runq = Queue.create ();
       futexq = Hashtbl.create 64;
+      timers = Timers.empty;
       label_cache = Label_cache.copy h.h_label_cache;
       profile = Profile.copy h.h_profile;
       current = 0L;
@@ -2098,6 +2119,7 @@ let handle_object_count h = Bptree.cardinal h.h_objects
 let restart_thread k tid entry =
   match find_obj k tid with
   | Some { body = Thr th; _ } ->
+      unblock k tid th;
       th.tstate <- `Ready;
       th.next_run <- Some (Start entry);
       th.parked <- None;

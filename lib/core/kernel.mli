@@ -121,8 +121,9 @@ val attach_netdev :
     (the simulated wire). *)
 
 val deliver_packet : t -> oid -> string -> unit
-(** Host-side packet arrival: enqueue on the device receive queue and
-    wake blocked receivers. *)
+(** Host-side packet arrival: enqueue on the device receive queue and,
+    if threads are blocked receiving on it, hand the frame to the one
+    that blocked first (waiters are served FIFO in block order). *)
 
 val host_wake_futex : t -> oid -> off:int -> unit
 (** Host-side wake of all futex waiters on a segment word, for device

@@ -152,6 +152,33 @@ let thread_create ~container ~label ~clearance ~quota ~name entry =
     (Thread_create
        { spec = { container; label; descrip = name; quota }; clearance; entry })
 
+let thread_create_reaped ~container ~label ~clearance ~quota ~name entry =
+  let self = ref None in
+  (* The creator learns the oid when its create call returns, which
+     is after the new thread's first syscall; a body that made none
+     yields once to let the creator catch up. *)
+  let rec reap () =
+    match !self with
+    | Some tid -> unref (centry container tid)
+    | None ->
+        yield ();
+        reap ()
+  in
+  (* A body that raises is reaped too (a daemon's failed request must
+     not leave its thread behind); the crash is logged here because
+     the reaped thread never reaches the kernel's own crash report. *)
+  let tid =
+    thread_create ~container ~label ~clearance ~quota ~name (fun () ->
+        (match entry () with
+        | () -> ()
+        | exception e ->
+            Logs.warn (fun m ->
+                m "thread %s crashed: %s" name (Printexc.to_string e)));
+        reap ())
+  in
+  self := Some tid;
+  tid
+
 let thread_alert ce a = unit_resp "thread_alert" (Thread_alert (ce, a))
 let thread_get_label ce = label_resp "thread_get_label" (Thread_get_label ce)
 

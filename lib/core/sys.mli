@@ -104,6 +104,22 @@ val thread_create :
   (unit -> unit) ->
   oid
 
+val thread_create_reaped :
+  container:oid ->
+  label:Label.t ->
+  clearance:Label.t ->
+  quota:int64 ->
+  name:string ->
+  (unit -> unit) ->
+  oid
+(** Like {!thread_create}, but when the entry function returns the
+    thread unrefs its own link in [container] as its last syscall,
+    which destroys it (§3.3: a halted thread lives until its last
+    container reference goes). For a daemon's per-request threads,
+    which would otherwise pile up halted. The thread's label must
+    still permit modifying [container] at that point. A body that
+    raises is logged and reaped the same way. *)
+
 val thread_alert : centry -> int -> unit
 val thread_get_label : centry -> Label.t
 

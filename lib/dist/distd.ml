@@ -349,7 +349,7 @@ let run_admitted t call (sv : service) ~ct ~rl ~rc =
       let clean = Sys.self_label () in
       acquire_stars t rl;
       let cell = ref None in
-      let _proxy =
+      let proxy =
         Sys.thread_create ~container:t.container ~label:rl ~clearance:rc
           ~quota:262144L
           ~name:(Fmt.str "dist-proxy-%s" call.Wire.c_service)
@@ -367,7 +367,11 @@ let run_admitted t call (sv : service) ~ct ~rl ~rc =
             cell := Some res)
       in
       Sys.self_set_label clean;
-      match await_cell cell with
+      let res = await_cell cell in
+      (* The proxy halted right after posting its result; reap it,
+         since a halted thread lives until unreferenced (§3.3). *)
+      Sys.unref (Types.centry t.container proxy);
+      match res with
       | `Err m ->
           { Wire.r_status = S_error; r_label = { wl_entries = []; wl_default = 1 };
             r_grants = []; r_payload = m }
@@ -513,7 +517,7 @@ let listener t () =
     let sock = Netd.Client.accept t.netd ~return_container:rc t.port in
     incr n;
     ignore
-      (Sys.thread_create ~container:t.container ~label:l1 ~clearance:l3
+      (Sys.thread_create_reaped ~container:t.container ~label:l1 ~clearance:l3
          ~quota:262144L
          ~name:(Fmt.str "dist-conn-%d" !n)
          (conn_loop t sock))

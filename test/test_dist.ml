@@ -680,6 +680,62 @@ let test_session_ttl_expiry () =
   drive "fourth request (re-cached token)";
   Alcotest.(check int) "re-auth cached a fresh token" (h0 + 2) (hits ())
 
+(* Per-request threads are reaped: a halted thread lives until its
+   last container reference goes (§3.3), so a daemon that never drops
+   its front workers, conn threads and proxies grows its object table
+   with every request (the balancer by 2 objects per request: the
+   worker and its TLS segment). After a warm-up that has seen every
+   user, the balancer's object count is the same after 100 and after
+   400 more requests; an app or shard node may still grow, but only
+   by per-user state (imported categories' grant gates), so by at
+   most the number of distinct users seen. *)
+let test_cluster_objects_flat () =
+  let user_count = 6 in
+  let wc = Webcluster.build ~app_nodes:2 ~user_count ~work_us:1_000 () in
+  let users = Webcluster.users wc in
+  let batch n =
+    let finished, outcomes =
+      Webcluster.run_load wc ~concurrency:4
+        (Array.init n (fun i ->
+             let u, p = users.(i mod user_count) in
+             (u, p, u)))
+    in
+    Alcotest.(check bool) (Printf.sprintf "%d-request batch completed" n) true
+      finished;
+    Array.iter
+      (fun o ->
+        Alcotest.(check bool)
+          ("reply has the record: " ^ o.Webcluster.o_reply)
+          true
+          (contains_sub o.Webcluster.o_reply
+             (Webcluster.secret_of wc o.Webcluster.o_user)))
+      outcomes
+  in
+  (* Balancer first, then app nodes, then shards. *)
+  let counts () =
+    List.map Kernel.object_count (Cluster.kernels (Webcluster.cluster wc))
+  in
+  batch (4 * user_count);
+  let warm = counts () in
+  batch 100;
+  let at100 = counts () in
+  batch 300;
+  let at400 = counts () in
+  let show l = String.concat " " (List.map string_of_int l) in
+  Alcotest.(check int)
+    (Printf.sprintf "balancer objects flat (warm %s, 100 %s, 400 %s)"
+       (show warm) (show at100) (show at400))
+    (List.hd at100) (List.hd at400);
+  List.iteri
+    (fun i (w, n) ->
+      if i > 0 then
+        Alcotest.(check bool)
+          (Printf.sprintf "node %d grows by at most %d users (%d -> %d)" i
+             user_count w n)
+          true
+          (n - w <= user_count))
+    (List.combine warm at400)
+
 let suite =
   [
     ("seal roundtrip", `Quick, test_seal_roundtrip);
@@ -699,4 +755,9 @@ let suite =
     ("cluster: scaling and reproducibility", `Slow, test_cluster_scaling);
   ]
 
-let () = Alcotest.run "dist" [ ("dist", suite) ]
+(* Its own group so CI can run it by name; a group name no wider than
+   "dist" keeps Alcotest from cutting the longest names above. *)
+let reap =
+  [ ("cluster objects flat per request", `Quick, test_cluster_objects_flat) ]
+
+let () = Alcotest.run "dist" [ ("dist", suite); ("reap", reap) ]

@@ -468,6 +468,56 @@ let test_alert_requires_as_write () =
       in
       Sys.yield ())
 
+(* Drain the run queue without firing a timer ([step] fires one only
+   when nothing is runnable). *)
+let drain k =
+  while Kernel.runnable_count k > 0 do
+    ignore (Kernel.step k : bool)
+  done
+
+(* [Kernel.run] with a step budget: a stale timer entry would make
+   every idle step "fire" it again, and the test should fail, not
+   hang. *)
+let run_bounded k =
+  let rec go n = if n > 0 && Kernel.step k then go (n - 1) in
+  go 1_000
+
+(* A reaped thread is destroyed, with its TLS, whether its body
+   returns after syscalls, returns without making one, or raises. *)
+let test_thread_reaped () =
+  let k = Kernel.create () in
+  let root = Kernel.root k in
+  let ran = ref [] in
+  let host body =
+    let before = Kernel.object_count k in
+    ignore (Kernel.spawn k ~name:"host" body : oid);
+    run_bounded k;
+    Kernel.object_count k - before
+  in
+  let bare = host (fun () -> Sys.yield ()) in
+  let reaped =
+    host (fun () ->
+        let create name body =
+          ignore
+            (Sys.thread_create_reaped ~container:root ~label:l1 ~clearance:l2
+               ~quota:65536L ~name body
+              : oid)
+        in
+        create "returns" (fun () ->
+            Sys.yield ();
+            ran := "returns" :: !ran);
+        create "no syscall" (fun () -> ran := "no syscall" :: !ran);
+        create "raises" (fun () ->
+            Sys.yield ();
+            ran := "raises" :: !ran;
+            failwith "request failed");
+        Sys.yield ())
+  in
+  Alcotest.(check (list string)) "every body ran"
+    [ "no syscall"; "raises"; "returns" ]
+    (List.sort compare !ran);
+  Alcotest.(check int) "no reaped thread left behind" bare reaped
+
 (* ---------- futexes ---------- *)
 
 let test_futex_wait_wake () =
@@ -649,6 +699,131 @@ let test_return_gate_single_use () =
       Sys.yield ();
       Sys.yield ())
 
+(* ---------- timers ---------- *)
+
+(* Sleepers wake in (deadline, tid) order, ties included. *)
+let test_timer_wake_order () =
+  let k = Kernel.create () in
+  let now = Histar_util.Sim_clock.now_ns (Kernel.clock k) in
+  let base = Int64.add now 1_000_000L in
+  let woke = ref [] in
+  let sleepers =
+    List.map
+      (fun (name, us) ->
+        let d = Int64.add base (Int64.of_int (us * 1000)) in
+        let tid =
+          Kernel.spawn k ~name (fun () ->
+              Sys.sleep_until_ns d;
+              woke := name :: !woke)
+        in
+        ((d, tid), name))
+      [ ("s300a", 300); ("s100a", 100); ("s300b", 300); ("s200", 200);
+        ("s100b", 100); ("s300c", 300) ]
+  in
+  drain k;
+  Alcotest.(check (option int64)) "earliest deadline"
+    (Some (Int64.add base 100_000L)) (Kernel.next_timer_ns k);
+  run_bounded k;
+  let expected = List.map snd (List.sort compare sleepers) in
+  Alcotest.(check (list string)) "wake order is (deadline, tid)" expected
+    (List.rev !woke);
+  Alcotest.(check (option int64)) "no timer left" None (Kernel.next_timer_ns k)
+
+(* A sleeper that leaves its sleep other than by its own deadline never
+   fires later, and [next_timer_ns] tracks the earliest live deadline
+   after each event:
+   - "alerted": woken by its timer, then waiting on an alert; the
+     alert (not a second timer wake) must be what resumes it;
+   - "unreffed": its own container entry dropped while asleep;
+   - "destroyed": its container dropped while it sleeps inside.
+   An index that kept any of these entries would report a stale
+   deadline (or resume a thread with the wrong response). *)
+let test_timer_index_eager () =
+  let k = Kernel.create () in
+  let root = Kernel.root k in
+  let now () = Histar_util.Sim_clock.now_ns (Kernel.clock k) in
+  let at us = Int64.add (now ()) (Int64.of_int (us * 1000)) in
+  let d_alerted = at 100 and d_unreffed = at 200 and d_destroyed = at 300 in
+  let d_survivor = at 400 in
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let host f =
+    ignore (Kernel.spawn k ~name:"host" f : oid);
+    drain k
+  in
+  (* The alerted sleeper needs an address space for alerts. *)
+  let asp = ref 0L and sub = ref 0L in
+  host (fun () ->
+      asp := Sys.as_create ~container:root ~label:l1 ~quota:4096L "as";
+      sub :=
+        Sys.container_create ~container:root ~label:l1 ~quota:1_000_000L "sub");
+  let alerted =
+    Kernel.spawn k ~name:"alerted" (fun () ->
+        Sys.self_set_as (centry root !asp);
+        Sys.sleep_until_ns d_alerted;
+        note "alerted:timer";
+        note (Printf.sprintf "alerted:alert %d" (Sys.wait_alert ())))
+  in
+  let unreffed =
+    Kernel.spawn k ~name:"unreffed" (fun () ->
+        Sys.sleep_until_ns d_unreffed;
+        note "unreffed:woke")
+  in
+  host (fun () ->
+      ignore
+        (Sys.thread_create ~container:!sub ~label:l1 ~clearance:l2
+           ~quota:65536L ~name:"destroyed" (fun () ->
+             Sys.sleep_until_ns d_destroyed;
+             note "destroyed:woke")
+          : oid));
+  let _survivor =
+    Kernel.spawn k ~name:"survivor" (fun () ->
+        Sys.sleep_until_ns d_survivor;
+        note "survivor:woke")
+  in
+  drain k;
+  let check_next what d =
+    Alcotest.(check (option int64))
+      ("next timer " ^ what) d (Kernel.next_timer_ns k)
+  in
+  check_next "with four sleepers" (Some d_alerted);
+  (* Fire the first timer: the alerted sleeper moves on to wait_alert. *)
+  Alcotest.(check bool) "a timer fired" true (Kernel.step k);
+  drain k;
+  Alcotest.(check (list string))
+    "only the first sleeper woke" [ "alerted:timer" ] !log;
+  check_next "after the timer woke its sleeper" (Some d_unreffed);
+  host (fun () -> Sys.unref (centry root unreffed));
+  check_next "after a sleeper was unreffed" (Some d_destroyed);
+  host (fun () -> Sys.unref (centry root !sub));
+  check_next "after a sleeper's container was destroyed" (Some d_survivor);
+  host (fun () -> Sys.thread_alert (centry root alerted) 7);
+  check_next "after the alert" (Some d_survivor);
+  run_bounded k;
+  Alcotest.(check (list string))
+    "alert delivered, only the survivor's timer fired"
+    [ "alerted:timer"; "alerted:alert 7"; "survivor:woke" ]
+    (List.rev !log);
+  check_next "at the end" None;
+  Alcotest.(check bool) "the survivor's deadline was reached" true
+    (Int64.compare (now ()) d_survivor >= 0)
+
+(* Threads decode halted, so a resumed branch starts with no timers
+   while the trunk keeps its sleeper. *)
+let test_timer_index_fork () =
+  let k = Kernel.create () in
+  let d = Int64.add (Histar_util.Sim_clock.now_ns (Kernel.clock k)) 5_000_000L in
+  let _ = Kernel.spawn k ~name:"sleeper" (fun () -> Sys.sleep_until_ns d) in
+  drain k;
+  let branch = Kernel.resume (Kernel.fork k) in
+  Alcotest.(check (option int64)) "branch has no timer" None
+    (Kernel.next_timer_ns branch);
+  Alcotest.(check (option int64)) "trunk keeps its timer" (Some d)
+    (Kernel.next_timer_ns k);
+  run_bounded k;
+  Alcotest.(check (option int64))
+    "trunk timer fired" None (Kernel.next_timer_ns k)
+
 (* ---------- devices ---------- *)
 
 let test_netdev_taint () =
@@ -681,6 +856,54 @@ let test_netdev_taint () =
   Kernel.run k;
   Alcotest.(check (list string)) "tx seen" [ "ping" ] !sent;
   Alcotest.(check (list string)) "phases" [ "got:pong"; "sent" ] !phase
+
+(* Several receivers on one device are served FIFO in the order they
+   blocked, whatever their oids: run once with the first-spawned
+   thread blocking first and once with it blocking last, so an order
+   by oid (or by hash-table position) fails one of the two. *)
+let test_netdev_fifo_wake () =
+  List.iter
+    (fun first_blocks_first ->
+      let k = Kernel.create () in
+      let root = Kernel.root k in
+      let i = Category.of_int 777 in
+      let dev_label = l [ (i, Level.L2) ] Level.L1 in
+      let dev =
+        Kernel.attach_netdev k ~container:root ~label:dev_label
+          ~mac:"02:00:00:00:00:03" ~transmit:ignore
+      in
+      let got = ref [] in
+      let receiver name ~delay () =
+        for _ = 1 to delay do
+          Sys.yield ()
+        done;
+        let pkt = Sys.net_recv (centry root dev) in
+        got := (name, pkt) :: !got
+      in
+      let spawn name ~delay =
+        ignore
+          (Kernel.spawn k ~name ~label:dev_label
+             ~clearance:(l [ (i, Level.L2) ] Level.L2)
+             (receiver name ~delay)
+            : oid)
+      in
+      let a_delay, b_delay = if first_blocks_first then (0, 3) else (3, 0) in
+      spawn "a" ~delay:a_delay;
+      spawn "b" ~delay:b_delay;
+      Kernel.run k;
+      Alcotest.(check int) "both blocked on rx" 2 (Kernel.blocked_count k);
+      Kernel.deliver_packet k dev "f1";
+      Kernel.run k;
+      Alcotest.(check int) "one frame wakes one receiver" 1
+        (Kernel.blocked_count k);
+      Kernel.deliver_packet k dev "f2";
+      Kernel.run k;
+      let first, second = if first_blocks_first then ("a", "b") else ("b", "a") in
+      Alcotest.(check (list (pair string string)))
+        (Printf.sprintf "FIFO in block order (%s blocked first)" first)
+        [ (first, "f1"); (second, "f2") ]
+        (List.rev !got))
+    [ true; false ]
 
 let test_netdev_untainted_cannot_recv () =
   let k = Kernel.create () in
@@ -1522,6 +1745,17 @@ let () =
           Alcotest.test_case "alert wakes" `Quick test_alert_wakes;
           Alcotest.test_case "alert needs AS write" `Quick
             test_alert_requires_as_write;
+          Alcotest.test_case "reaped on return or raise" `Quick
+            test_thread_reaped;
+        ] );
+      ( "timers",
+        [
+          Alcotest.test_case "wake order (deadline, tid)" `Quick
+            test_timer_wake_order;
+          Alcotest.test_case "index removes woken, unreffed, destroyed" `Quick
+            test_timer_index_eager;
+          Alcotest.test_case "fork starts with no timers" `Quick
+            test_timer_index_fork;
         ] );
       ( "futexes",
         [
@@ -1544,6 +1778,7 @@ let () =
       ( "devices",
         [
           Alcotest.test_case "send/recv with taint" `Quick test_netdev_taint;
+          Alcotest.test_case "receivers woken FIFO" `Quick test_netdev_fifo_wake;
           Alcotest.test_case "untainted cannot recv" `Quick
             test_netdev_untainted_cannot_recv;
           Alcotest.test_case "vpn taint cannot send" `Quick
